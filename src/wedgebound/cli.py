@@ -235,7 +235,7 @@ def _sweep_row(theta: float, args) -> dict:
             if gap <= res.error_estimate:
                 status = "inconclusive"
         row["status"] = status
-    except Exception as exc:
+    except (DomainError, ConvergenceError) as exc:
         # keep the status cell CSV-safe: no commas or newlines
         detail = str(exc).replace(",", ";").replace("\n", " ")
         row["status"] = f"error: {detail}"

@@ -8,7 +8,12 @@ interpolation cells straddle the eigenfunction's normal-derivative cusp,
 the eigenvalue error is first order in h with a second-order tail; solve()
 removes both terms by fitting over three grids.  The wedge bisector lies along the x-axis,
 rays at angles +/-theta, so the grid reflection y -> -y is an exact
-symmetry of the assembled matrix.
+symmetry of the assembled matrix.  The ground state of a reflection-symmetric
+operator is positive, hence even, so solve() restricts every grid level to
+the even subspace (about half the unknowns) and lifts the eigenvector back to
+the full grid.  Each shift of the shift-invert Lanczos iteration is
+factorized once, with a symmetric fill-reducing ordering, and the factor is
+reused for the residual polish.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .quadrature import ConvergenceError
 from .trial import DomainError, WedgeConfig
@@ -33,8 +38,6 @@ __all__ = [
     "lowest_eigenvalue",
     "solve",
     "delta_well_1d",
-    "dump_matrix_coo",
-    "dump_eigenfunction_csv",
 ]
 
 BOUNDARY_MASS_LIMIT = 1e-10
@@ -176,32 +179,31 @@ def lowest_eigenvalue(
 
     The shift must sit strictly below the spectrum; a returned eigenvalue at
     or below the shift proves it did not, triggering an automatic shift
-    decrease and retry.  Deterministic (fixed start vector).
+    decrease and retry.  Each shift is factorized once, and the factor drives
+    both the Lanczos iteration and the residual polish.  Deterministic (fixed
+    start vector).
     """
     M = H.shape[0]
     v0 = np.ones(M)
     sigma = shift
-    last_exc: Exception | None = None
+    last_exc: RuntimeError | None = None
     for _ in range(max_shift_retries + 1):
         try:
-            if sigma is None:
-                vals, vecs = eigsh(H, k=1, which="SA", tol=tol, v0=v0)
-            else:
-                vals, vecs = eigsh(H, k=1, sigma=sigma, which="LM", tol=tol, v0=v0)
-        except Exception as exc:  # ARPACK non-convergence or singular factor
+            lam, v, lu = _lanczos(H, sigma, tol, v0)
+        except RuntimeError as exc:
+            # ArpackError (ArpackNoConvergence included) or SuperLU's
+            # "factor is exactly singular"; any other error propagates
             last_exc = exc
             if sigma is None:
                 break
             sigma = 4.0 * sigma - 1.0
             continue
-        lam = float(vals[0])
         if sigma is not None and lam <= sigma:
             sigma = lam - 4.0 * abs(lam - sigma) - 1.0
             continue
-        v = vecs[:, 0]
         res = _residual(H, lam, v)
-        if res > RESIDUAL_LIMIT * abs(lam) and sigma is not None:
-            lam, v, res = _polish(H, sigma, lam, v)
+        if res > RESIDUAL_LIMIT * abs(lam) and lu is not None:
+            lam, v, res = _polish(H, lu, v)
         if res > RESIDUAL_LIMIT * abs(lam):
             raise ConvergenceError(
                 f"eigen residual {res} exceeds {RESIDUAL_LIMIT}*|eigenvalue|"
@@ -214,9 +216,24 @@ def lowest_eigenvalue(
     raise ConvergenceError(f"shift-invert eigensolver failed: {last_exc}")
 
 
-def _polish(H: sp.spmatrix, sigma: float, lam: float, v: np.ndarray):
-    """A few fixed-shift inverse-iteration steps to tighten the residual."""
-    lu = splu(sp.csc_matrix(H - sigma * sp.identity(H.shape[0])))
+def _lanczos(H: sp.spmatrix, sigma: float | None, tol: float, v0: np.ndarray):
+    """One eigsh run: the lowest eigenpair and, in shift-invert mode, the
+    SuperLU factor of H - sigma*I that it used (else None)."""
+    if sigma is None:
+        vals, vecs = eigsh(H, k=1, which="SA", tol=tol, v0=v0)
+        return float(vals[0]), vecs[:, 0], None
+    # H is symmetric, so order by minimum degree on H^T + H, not COLAMD
+    lu = splu(
+        sp.csc_matrix(H - sigma * sp.identity(H.shape[0])),
+        permc_spec="MMD_AT_PLUS_A",
+    )
+    op = LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
+    vals, vecs = eigsh(H, k=1, sigma=sigma, which="LM", tol=tol, v0=v0, OPinv=op)
+    return float(vals[0]), vecs[:, 0], lu
+
+
+def _polish(H: sp.spmatrix, lu, v: np.ndarray):
+    """A few inverse-iteration steps on the shift's factor to tighten the residual."""
     for _ in range(5):
         v = lu.solve(v)
         v /= np.linalg.norm(v)
@@ -225,6 +242,40 @@ def _polish(H: sp.spmatrix, sigma: float, lam: float, v: np.ndarray):
         if res <= RESIDUAL_LIMIT * abs(lam):
             break
     return lam, v, res
+
+
+def _even_isometry(m: int) -> sp.csr_matrix:
+    """Orthonormal basis, as columns, of the grid functions even under y -> -y.
+
+    m = n_interior is odd, so there are m*(m+1)/2 columns, (m+1)/2 per
+    x-line.  Node (i, j) and its mirror (i, m-1-j) share a column at weight
+    1/sqrt(2); the node on the bisector, j = (m-1)/2, has its own at weight 1.
+    """
+    half = (m + 1) // 2
+    cols = np.arange(m * half).reshape(m, half)
+    cols = np.hstack([cols, cols[:, -2::-1]])  # column of each node (x-major)
+    vals = np.full((m, m), math.sqrt(0.5))
+    vals[:, half - 1] = 1.0
+    return sp.csr_matrix(
+        (vals.ravel(), (np.arange(m * m), cols.ravel())), shape=(m * m, m * half)
+    )
+
+
+def _solve_level(cfg: WedgeConfig, grid: GridSpec, tol: float, shift: float) -> SpectralResult:
+    """Ground state of one grid level, solved on the even subspace.
+
+    The eigenvector is lifted back to the full grid and its residual is
+    taken against the full matrix.
+    """
+    H = assemble(cfg, grid)
+    P = _even_isometry(grid.n_interior)
+    R = P.T @ H @ P
+    result = lowest_eigenvalue(
+        ((R + R.T) * 0.5).tocsr(), tol=tol, shift=shift, grid=grid
+    )
+    result.eigenvector = P @ result.eigenvector
+    result.residual_norm = _residual(H, result.eigenvalue, result.eigenvector)
+    return result
 
 
 def _boundary_mass(v: np.ndarray, m: int) -> float:
@@ -264,7 +315,10 @@ def solve(
     """Extrapolated ground eigenvalue from the grid sequence h, h/2, h/4.
 
     Starts from L = max(8/alpha, 12), coarse spacing L/128 (so the finest
-    grid is L/512, about a million unknowns).  If the coarse eigenfunction
+    grid is L/512, about a million nodes).  Every level is solved on the
+    even subspace of the y -> -y reflection (about half a million unknowns on
+    the finest grid) with one factorization per shift, and its eigenvector
+    is lifted back to the full grid.  If the coarse eigenfunction
     leaves more than 1e-10 of its mass within one spacing of the boundary,
     the box is doubled (unknown count kept) and the solve repeats, at most
     ``max_enlargements`` times; near theta = pi/2 the extended state along
@@ -280,7 +334,7 @@ def solve(
 
     enlargements = 0
     while True:
-        coarse = lowest_eigenvalue(assemble(cfg, grid), tol=tol, shift=shift, grid=grid)
+        coarse = _solve_level(cfg, grid, tol, shift)
         mass = _boundary_mass(coarse.eigenvector, grid.n_interior)
         if mass <= BOUNDARY_MASS_LIMIT or enlargements >= max_enlargements:
             break
@@ -291,7 +345,7 @@ def solve(
     result = coarse
     for _ in range(2):
         grid = grid.refined()
-        result = lowest_eigenvalue(assemble(cfg, grid), tol=tol, shift=shift, grid=grid)
+        result = _solve_level(cfg, grid, tol, shift)
         lams.append(result.eigenvalue)
 
     hs = (4.0 * grid.h, 2.0 * grid.h, grid.h)
@@ -342,21 +396,3 @@ def delta_well_1d(
         error_estimate=abs(lam_f - lam_c) / 3.0,
     )
 
-
-def dump_matrix_coo(H: sp.spmatrix, path: str) -> None:
-    """Write the sparse matrix as 'row col value' text lines."""
-    coo = sp.coo_matrix(H)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {float(v)!r}\n")
-
-
-def dump_eigenfunction_csv(result: SpectralResult, path: str) -> None:
-    """Write the eigenvector as a CSV grid (one row per x-line of nodes)."""
-    if result.eigenvector is None or result.grid is None:
-        raise DomainError("result carries no eigenvector/grid to dump")
-    m = result.grid.n_interior
-    g = result.eigenvector.reshape(m, m)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in g:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")

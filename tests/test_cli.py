@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from wedgebound import cli
 from wedgebound.cli import SWEEP_COLUMNS, main
 
 PI_4 = math.pi / 4
@@ -163,6 +164,14 @@ class TestSweep:
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"].startswith("error:")
         assert "," not in rows[1]["status"]
+
+    def test_programming_error_escapes(self, monkeypatch):
+        def bug(cfg):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(cli, "optimize_bound", bug)
+        with pytest.raises(TypeError):
+            main(["sweep", "--theta-min", "0.5", "--theta-max", "0.9", "--theta-steps", "2"])
 
     def test_empty_grid_exit_1(self, capsys):
         code, _, _ = run(capsys, "sweep", "--theta-min", "0.5", "--theta-max", "0.9",

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from wedgebound import (
+    ConvergenceError,
     DomainError,
     GridSpec,
     WedgeConfig,
@@ -14,12 +16,8 @@ from wedgebound import (
     lowest_eigenvalue,
     solve,
 )
-from wedgebound.spectral import (
-    delta_line_matrix,
-    dirichlet_laplacian,
-    dump_eigenfunction_csv,
-    dump_matrix_coo,
-)
+from wedgebound import spectral
+from wedgebound.spectral import _even_isometry, _residual, delta_line_matrix, dirichlet_laplacian
 
 PI_4 = math.pi / 4
 
@@ -151,24 +149,54 @@ class TestSolve:
         assert quarter.eigenvalue == quarter.grid_eigenvalues[-1]
 
 
-class TestDumps:
-    def test_round_trip(self, tmp_path):
-        g = GridSpec(12.0, 12.0 / 64)
-        H = assemble(WedgeConfig(0.8, 1.0), g)
-        mpath = tmp_path / "matrix.txt"
-        dump_matrix_coo(H, str(mpath))
-        rows, cols, vals = [], [], []
-        for line in mpath.read_text().splitlines():
-            i, j, v = line.split()
-            rows.append(int(i))
-            cols.append(int(j))
-            vals.append(float(v))
-        H2 = sp.csr_matrix((vals, (rows, cols)), shape=H.shape)
-        assert abs(H - H2).max() == 0.0
+class TestEvenSubspace:
+    def test_isometry(self):
+        m = 7
+        P = _even_isometry(m)
+        assert P.shape == (m * m, m * (m + 1) // 2)
+        assert abs(P.T @ P - sp.identity(P.shape[1])).max() <= 1e-15
+        assert abs(reflection(m) @ P - P).max() == 0.0
 
-        res = lowest_eigenvalue(H, shift=-2.0, grid=g)
-        vpath = tmp_path / "vec.csv"
-        dump_eigenfunction_csv(res, str(vpath))
-        data = np.loadtxt(str(vpath), delimiter=",")
-        assert data.shape == (g.n_interior, g.n_interior)
-        assert np.allclose(data.ravel(), res.eigenvector.reshape(g.n_interior, -1).ravel())
+    @pytest.fixture(scope="class")
+    def reduced(self):
+        cfg = WedgeConfig(PI_4, 1.0)
+        g = GridSpec(12.0, 12.0 / 64)
+        return cfg, g, solve(cfg, L=g.L, h=g.h, max_enlargements=0)
+
+    def test_matches_full_grid(self, reduced):
+        cfg, g, res = reduced
+        for lam in res.grid_eigenvalues:
+            full = lowest_eigenvalue(assemble(cfg, g), shift=-2.0, grid=g).eigenvalue
+            assert lam == pytest.approx(full, rel=1e-9, abs=0.0)
+            g = g.refined()
+
+    def test_lifted_eigenvector(self, reduced):
+        cfg, _, res = reduced
+        v, m = res.eigenvector, res.grid.n_interior
+        assert v.shape == (m * m,)
+        assert np.linalg.norm(v - reflection(m) @ v) <= 1e-12 * np.linalg.norm(v)
+        H = assemble(cfg, res.grid)
+        assert _residual(H, res.eigenvalue, v) <= 1e-8 * abs(res.eigenvalue)
+        assert res.residual_norm == _residual(H, res.eigenvalue, v)
+
+
+class TestSolverFailures:
+    @pytest.fixture(scope="class")
+    def H(self):
+        return assemble(WedgeConfig(PI_4, 1.0), GridSpec(12.0, 12.0 / 64))
+
+    def test_arpack_failure_is_convergence_error(self, H, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spectral, "eigsh", no_convergence)
+        with pytest.raises(ConvergenceError):
+            lowest_eigenvalue(H, shift=-2.0)
+
+    def test_programming_error_propagates(self, H, monkeypatch):
+        def bug(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(spectral, "eigsh", bug)
+        with pytest.raises(TypeError):
+            lowest_eigenvalue(H, shift=-2.0)
