@@ -3,19 +3,15 @@ Schrodinger operator, with an independent finite-difference cross-check."""
 
 from .trial import (
     BoundReport,
-    Cutoff,
     DomainError,
-    TENT_CUTOFF,
     TrialParams,
     WedgeConfig,
     bound_constants,
     closed_J,
     closed_R,
-    cutoff_chi,
     g_rho,
     lambda_upper,
     profile_F,
-    trial_u,
 )
 from .quadrature import ConvergenceError, QuadratureEstimate, integrate, quad_J
 from .variational import (
@@ -40,20 +36,17 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "ConvergenceError",
-    "Cutoff",
     "DomainError",
     "GridSpec",
     "QuadratureEstimate",
     "RayleighReport",
     "SpectralResult",
-    "TENT_CUTOFF",
     "TrialParams",
     "WedgeConfig",
     "assemble",
     "bound_constants",
     "closed_J",
     "closed_R",
-    "cutoff_chi",
     "delta_well_1d",
     "g_rho",
     "integrate",
@@ -66,6 +59,5 @@ __all__ = [
     "r_functional",
     "rayleigh",
     "solve",
-    "trial_u",
     "verify_thm1",
 ]

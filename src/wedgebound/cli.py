@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -254,11 +253,7 @@ def cmd_sweep(args) -> int:
         raise DomainError("--theta-min must be below --theta-max")
     thetas = [lo + (hi - lo) * i / (args.theta_steps - 1) for i in range(args.theta_steps)]
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda t: _sweep_row(t, args), thetas))
-    else:
-        rows = [_sweep_row(t, args) for t in thetas]
+    rows = [_sweep_row(t, args) for t in thetas]
 
     if args.format == "json":
         _emit(
@@ -387,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-solver", action="store_true")
     p.add_argument("--box", type=float)
     p.add_argument("--spacing", type=float)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sweep, format="csv")
 
     p = sub.add_parser("fit", help="log-log exponent fit of a sweep table")
@@ -411,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"wedgebound: invalid input: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, RuntimeError) as exc:
+    except ConvergenceError as exc:
         print(f"wedgebound: numerical failure: {exc}", file=sys.stderr)
         return 2
 

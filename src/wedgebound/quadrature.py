@@ -1,9 +1,13 @@
 """Adaptive 1D quadrature for exponentially decaying integrands.
 
-Backed by QUADPACK's adaptive Gauss-Kronrod rules (scipy.integrate.quad).
-Callers must list interior kink abscissae as breakpoints; each breakpoint
-becomes a hard subdivision boundary, and infinite endpoints are handled by
-QUADPACK's own compactifying transform.
+A vectorized adaptive panel Gauss-Legendre rule.  Breakpoints split the
+interval into panels, so callers list interior kink abscissae as
+breakpoints and a kink never sits inside a panel.  An infinite end is
+mapped onto [0, 1) by x = a + s/(1-s) (or x = b - s/(1-s)).  Each panel's
+error estimate is the difference between the 10-point rule on the whole
+panel and on its two halves; a panel whose estimate exceeds its share of
+the tolerance is bisected.  Integrands take an array of abscissae and are
+called once per refinement round with the nodes of every active panel.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from scipy.integrate import quad
+import numpy as np
 
-from .trial import DomainError, WedgeConfig, profile_F
+from .trial import DomainError, WedgeConfig, log_profile_F
 
 __all__ = [
     "ConvergenceError",
@@ -29,6 +33,13 @@ __all__ = [
 DEFAULT_ABS_TOL = 1e-13
 DEFAULT_REL_TOL = 1e-11
 DEFAULT_BUDGET = 10**6
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
+_K = _GL_X.size
+# 10-point rule on the unit panel [0, 1]: nodes of its left half, its right
+# half, then of the whole panel, which is needed only for a panel's first round
+_NODES = np.concatenate([(_GL_X + 1.0) / 4.0, (_GL_X + 3.0) / 4.0, (_GL_X + 1.0) / 2.0])
+_WEIGHTS = np.concatenate([_GL_W / 4.0, _GL_W / 4.0, _GL_W / 2.0])
 
 
 class ConvergenceError(RuntimeError):
@@ -53,8 +64,21 @@ class QuadratureEstimate:
         return self.value
 
 
+def _rule_terms(f, u0, width, anchor, direction, unit_x, unit_w):
+    """Weighted integrand values at the rule's nodes, one row per panel.
+
+    A panel with direction 0 spans x in [u0, u0 + width]; direction +1 or -1
+    maps s in [u0, u0 + width] within [0, 1) to x = anchor + direction*s/(1-s).
+    """
+    s = u0[:, None] + width[:, None] * unit_x
+    mapped = (direction != 0.0)[:, None]
+    q = np.where(mapped, 1.0 - s, 1.0)
+    x = np.where(mapped, anchor[:, None] + direction[:, None] * s / q, s)
+    return f(x) * np.where(mapped, 1.0 / (q * q), 1.0) * (width[:, None] * unit_w)
+
+
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     abs_tol: float = DEFAULT_ABS_TOL,
@@ -64,8 +88,11 @@ def integrate(
 ) -> QuadratureEstimate:
     """Integrate ``f`` over (lo, hi), either endpoint possibly infinite.
 
+    ``f`` maps an array of abscissae to the array of integrand values.
     Breakpoints strictly inside the interval split it into panels that are
-    integrated independently, so kinks never sit inside a panel.
+    refined independently, so kinks never sit inside a panel.  The estimate
+    has converged when refinement ended within ``budget`` evaluations and
+    the summed error estimate is within ``abs_tol + rel_tol * (integral of |f|)``.
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi, got lo={lo}, hi={hi}")
@@ -73,38 +100,53 @@ def integrate(
         raise DomainError("tolerances must be positive")
 
     pts = sorted(p for p in breakpoints if lo < p < hi)
+    if not pts and math.isinf(lo) and math.isinf(hi):
+        pts = [0.0]
     edges = [lo, *pts, hi]
-    npanels = len(edges) - 1
-    # 21 evaluations per Gauss-Kronrod panel; cap subdivisions so the total
-    # evaluation count stays within the budget.
-    limit = max(10, budget // (21 * npanels))
+    panels = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if math.isinf(a):  # (-inf, b]: x = b - s/(1-s)
+            panels.append((0.0, 1.0, b, -1.0))
+        elif math.isinf(b):  # [a, inf): x = a + s/(1-s)
+            panels.append((0.0, 1.0, a, 1.0))
+        else:
+            panels.append((a, b - a, 0.0, 0.0))
+    u0, width, anchor, direction = np.array(panels).T
+    share = np.full(len(u0), 1.0 / len(u0))
+    nodes, weights = _NODES, _WEIGHTS
+    whole = None
 
-    value = 0.0
-    l1_mass = 0.0
-    err = 0.0
+    value = err = l1_mass = 0.0
     evaluations = 0
     ok = True
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, abserr, info, *msg = quad(
-            f,
-            a,
-            b,
-            epsabs=abs_tol / npanels,
-            epsrel=rel_tol,
-            limit=limit,
-            full_output=1,
-        )
-        value += val
-        l1_mass += abs(val)
-        err += abserr
-        evaluations += int(info["neval"])
-        if msg:  # QUADPACK warning: roundoff trouble or subdivision limit
+    while True:
+        fx = _rule_terms(f, u0, width, anchor, direction, nodes, weights)
+        evaluations += fx.size
+        if whole is None:
+            whole = fx[:, 2 * _K :].sum(axis=1)
+            nodes, weights = _NODES[: 2 * _K], _WEIGHTS[: 2 * _K]
+        left = fx[:, :_K].sum(axis=1)
+        right = fx[:, _K : 2 * _K].sum(axis=1)
+        l1 = np.abs(fx[:, : 2 * _K]).sum(axis=1)
+        panel_err = np.abs(whole - (left + right))
+        split = ~(panel_err <= share * abs_tol + rel_tol * l1)  # NaN splits too
+        if evaluations + 4 * _K * np.count_nonzero(split) > budget:
             ok = False
+            split[:] = False
+        keep = ~split
+        value += float((left + right)[keep].sum())
+        err += float(panel_err[keep].sum())
+        l1_mass += float(l1[keep].sum())
+        if not split.any():
+            break
+        u0, half = u0[split], width[split] / 2.0
+        u0 = np.concatenate([u0, u0 + half])
+        width = np.concatenate([half, half])
+        anchor = np.tile(anchor[split], 2)
+        direction = np.tile(direction[split], 2)
+        share = np.tile(share[split] / 2.0, 2)
+        whole = np.concatenate([left[split], right[split]])
 
-    if evaluations > budget:
-        ok = False
-    # QUADPACK controls error per panel relative to the panel's own
-    # magnitude, so the achievable target scales with the L1 panel mass.
     converged = ok and err <= abs_tol + rel_tol * l1_mass
     return QuadratureEstimate(
         value=value,
@@ -132,12 +174,9 @@ def quad_J(
     alpha = cfg.alpha
     power = 2.0 * rho - 1.0
 
-    def integrand(x: float) -> float:
-        f = profile_F(x * tan_t, alpha)
-        if f == 0.0:  # deep-tail underflow of the profile
-            return 0.0
-        lg = -2.0 * alpha * abs(x) * tan_t + power * math.log(f)
-        return math.exp(lg) if lg > -745.0 else 0.0
+    def integrand(x: np.ndarray) -> np.ndarray:
+        t = x * tan_t
+        return np.exp(power * log_profile_F(t, alpha) - 2.0 * alpha * np.abs(t))
 
     # pin the integrand's features: geometric multiples of the natural decay
     # length keep every panel's mass near its edges, and for rho > 3/2 the

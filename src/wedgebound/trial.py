@@ -9,22 +9,20 @@ in this module is an explicit formula; numerical integration lives in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "DomainError",
     "WedgeConfig",
-    "Cutoff",
-    "TENT_CUTOFF",
     "TrialParams",
     "BoundReport",
     "profile_F",
     "profile_F_slope",
+    "log_profile_F",
     "g_rho",
     "g_rho_slope",
-    "cutoff_chi",
-    "trial_u",
     "closed_R",
     "closed_J",
     "lambda_upper",
@@ -64,42 +62,12 @@ class WedgeConfig:
         return (c / s) ** 2
 
 
-def _tent_value(t: float) -> float:
-    at = abs(t)
-    if at <= 1.0:
-        return 1.0
-    if at < 2.0:
-        return 2.0 - at
-    return 0.0
-
-
-def _tent_slope(t: float) -> float:
-    at = abs(t)
-    if 1.0 < at < 2.0:
-        return -math.copysign(1.0, t)
-    return 0.0
-
-
-@dataclass(frozen=True)
-class Cutoff:
-    """Lipschitz plateau profile: 1 on [-1, 1], 0 outside (-2, 2)."""
-
-    value: Callable[[float], float]
-    slope: Callable[[float], float]
-    lipschitz: float
-
-
-#: Piecewise-linear plateau with unit Lipschitz constant (the default profile).
-TENT_CUTOFF = Cutoff(value=_tent_value, slope=_tent_slope, lipschitz=1.0)
-
-
 @dataclass(frozen=True)
 class TrialParams:
-    """Variational family parameters: exponent, cutoff scale and profile."""
+    """Variational family parameters: exponent and cutoff scale."""
 
     rho: float
     n: float
-    cutoff: Cutoff = field(default=TENT_CUTOFF)
 
     def __post_init__(self) -> None:
         if not self.rho > 0.0:
@@ -157,6 +125,16 @@ def profile_F_slope(t: float, alpha: float) -> float:
     return math.exp(-alpha * abs(t))
 
 
+def log_profile_F(t: np.ndarray, alpha: float) -> np.ndarray:
+    """Natural log of :func:`profile_F`, elementwise on an array.
+
+    Finite for every finite ``t``, so powers of F formed as exp(p*log F)
+    cannot underflow to 0 and turn 0**(negative) into inf or NaN.
+    """
+    at = np.abs(t)
+    return np.where(t < 0.0, -alpha * at, np.log(2.0 - np.exp(-alpha * at))) - math.log(alpha)
+
+
 def g_rho(x2: float, cfg: WedgeConfig, rho: float) -> float:
     """Power profile F(x2*tan(theta))**rho along the free coordinate."""
     if not rho > 0.0:
@@ -178,25 +156,6 @@ def g_rho_slope(x2: float, cfg: WedgeConfig, rho: float) -> float:
     if lg < -745.0:
         return 0.0
     return rho * math.exp(lg) * cfg.tan_theta
-
-
-def cutoff_chi(t: float) -> float:
-    """Default piecewise-linear plateau profile (Lipschitz constant 1)."""
-    return _tent_value(t)
-
-
-def trial_u(x1: float, x2: float, cfg: WedgeConfig, params: TrialParams) -> float:
-    """Trial function exp(-alpha*|x1|/2) * g_rho(x2) * chi(x2/n).
-
-    The formula is evaluated for any (x1, x2); restriction to the wedge
-    domain happens in the integrals, not here.
-    """
-    params.check(cfg)
-    return (
-        math.exp(-cfg.alpha * abs(x1) / 2.0)
-        * g_rho(x2, cfg, params.rho)
-        * params.cutoff.value(x2 / params.n)
-    )
 
 
 def closed_R(cfg: WedgeConfig, rho: float) -> float:

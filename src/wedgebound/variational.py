@@ -4,6 +4,8 @@ The trial function separates as exp(-alpha*|x1|/2) * h(x2) with
 h = g_rho * chi(./n), so every quantity reduces to a 1D integral in x2.
 Derivatives of h are taken analytically piecewise; numerical
 differentiation would dominate the error budget of the energy functional.
+The integrands are numpy functions of an array of abscissae, and powers of
+the profile F are formed from log F, which stays finite deep in its tail.
 """
 
 from __future__ import annotations
@@ -12,16 +14,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, integrate
 from .trial import (
     DomainError,
     TrialParams,
     WedgeConfig,
     bound_constants,
-    g_rho,
-    g_rho_slope,
-    profile_F,
-    profile_F_slope,
+    log_profile_F,
 )
 
 __all__ = [
@@ -50,18 +51,22 @@ class RayleighReport:
     params: TrialParams
 
 
-def _h_and_slope(cfg: WedgeConfig, params: TrialParams):
-    rho, n, cutoff = params.rho, params.n, params.cutoff
+def _trial_profile(cfg: WedgeConfig, params: TrialParams, x: np.ndarray):
+    """h, h', F and F' at the abscissae x, with F and F' taken at x*tan(theta).
 
-    def h(x: float) -> float:
-        return g_rho(x, cfg, rho) * cutoff.value(x / n)
-
-    def h_slope(x: float) -> float:
-        chi = cutoff.value(x / n)
-        chi_d = cutoff.slope(x / n)
-        return g_rho_slope(x, cfg, rho) * chi + g_rho(x, cfg, rho) * chi_d / n
-
-    return h, h_slope
+    h = g_rho * chi(x/n) with the tent cutoff chi(s) = clip(2 - |s|, 0, 1).
+    """
+    alpha, tan_t, rho, n = cfg.alpha, cfg.tan_theta, params.rho, params.n
+    t = x * tan_t
+    log_decay = -alpha * np.abs(t)  # log F'
+    log_f = log_profile_F(t, alpha)
+    g = np.exp(rho * log_f)
+    # F**(rho-1) * F' in log space: either factor alone can over/underflow
+    g_slope = rho * tan_t * np.exp((rho - 1.0) * log_f + log_decay)
+    s = np.abs(x) / n
+    chi = np.clip(2.0 - s, 0.0, 1.0)
+    chi_slope = np.where((s > 1.0) & (s < 2.0), -np.sign(x), 0.0)
+    return g * chi, g_slope * chi + g * chi_slope / n, np.exp(log_f), np.exp(log_decay)
 
 
 def _cut_breakpoints(cfg: WedgeConfig, n: float) -> tuple[float, ...]:
@@ -89,11 +94,10 @@ def norm_sq(
 ) -> float:
     """Squared L2 norm of the trial function over the wedge domain."""
     params.check(cfg)
-    h, _ = _h_and_slope(cfg, params)
-    tan_t = cfg.tan_theta
 
-    def integrand(x: float) -> float:
-        return h(x) ** 2 * profile_F(x * tan_t, cfg.alpha)
+    def integrand(x: np.ndarray) -> np.ndarray:
+        h, _, f, _ = _trial_profile(cfg, params, x)
+        return h * h * f
 
     est = integrate(
         integrand,
@@ -118,17 +122,11 @@ def r_functional(
     cutoff wings; the raw value is reported without sign judgment.
     """
     params.check(cfg)
-    h, h_slope = _h_and_slope(cfg, params)
-    tan_t = cfg.tan_theta
-    cot_t = 1.0 / tan_t
+    cot_t = 1.0 / cfg.tan_theta
 
-    def integrand(x: float) -> float:
-        t = x * tan_t
-        hp = h_slope(x)
-        return hp * (
-            hp * profile_F(t, cfg.alpha)
-            - h(x) * profile_F_slope(t, cfg.alpha) * cot_t
-        )
+    def integrand(x: np.ndarray) -> np.ndarray:
+        h, hp, f, fp = _trial_profile(cfg, params, x)
+        return hp * (hp * f - h * fp * cot_t)
 
     est = integrate(
         integrand,

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from wedgebound import cli
+from wedgebound import ConvergenceError, cli
 from wedgebound.cli import SWEEP_COLUMNS, main
 
 PI_4 = math.pi / 4
@@ -106,6 +106,23 @@ class TestOptimize:
         res = json.loads(out)["results"]
         assert res["quotient"] <= res["bound_thm2"]
 
+    def test_bug_escapes(self, monkeypatch):
+        def bug(cfg):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli, "optimize_bound", bug)
+        with pytest.raises(RuntimeError, match="bug"):
+            main(["optimize", "--theta", "0.7"])
+
+    def test_convergence_failure_exit_2(self, capsys, monkeypatch):
+        def fail(cfg):
+            raise ConvergenceError("quadrature did not converge")
+
+        monkeypatch.setattr(cli, "optimize_bound", fail)
+        code, _, err = run(capsys, "optimize", "--theta", "0.7")
+        assert code == 2
+        assert "numerical failure" in err
+
 
 class TestSolve:
     def test_small_grid(self, capsys):
@@ -145,12 +162,6 @@ class TestSweep:
             assert r["status"] == "ok"
             assert float(r["bound_optimized"]) <= float(r["bound_thm2"])
             assert r["lambda_fd"] == ""  # solver not requested
-
-    def test_jobs_deterministic(self, capsys):
-        argv = ["sweep", "--theta-min", "0.5", "--theta-max", "0.9", "--theta-steps", "3"]
-        _, serial, _ = run(capsys, *argv)
-        _, parallel, _ = run(capsys, *argv, "--jobs", "3")
-        assert parallel == serial
 
     def test_row_error_does_not_abort(self, capsys):
         # theta grid includes pi/2 where the optimizer is degenerate

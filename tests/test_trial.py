@@ -1,23 +1,22 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wedgebound import (
     DomainError,
-    TENT_CUTOFF,
     TrialParams,
     WedgeConfig,
     bound_constants,
     closed_R,
-    cutoff_chi,
     g_rho,
     lambda_upper,
     profile_F,
-    trial_u,
 )
 from wedgebound.quadrature import integrate
+from wedgebound.variational import _trial_profile
 
 PI_4 = math.pi / 4
 
@@ -51,7 +50,7 @@ class TestProfileF:
 
     def test_left_tail_against_quadrature_oracle(self):
         # oracle: adaptive quadrature of exp(-2|x|) over (-inf, -1)
-        oracle = integrate(lambda x: math.exp(-2.0 * abs(x)), -math.inf, -1.0)
+        oracle = integrate(lambda x: np.exp(-2.0 * np.abs(x)), -math.inf, -1.0)
         assert oracle.converged
         assert oracle.value == pytest.approx(math.exp(-2.0) / 2.0, rel=1e-12)
         assert profile_F(-1.0, 2.0) == pytest.approx(oracle.value, rel=1e-12)
@@ -97,44 +96,28 @@ class TestGRho:
         assert expected == pytest.approx(1.2775447384841587, rel=1e-12)
 
 
+def _cutoff(t: float) -> float:
+    """The tent cutoff chi(t), read off the trial profile h = g_rho * chi(x/n) at n = 1."""
+    cfg = WedgeConfig(theta=PI_4, alpha=1.0)
+    h = _trial_profile(cfg, TrialParams(rho=0.5, n=1.0), np.array([t]))[0][0]
+    return h / g_rho(t, cfg, 0.5)
+
+
 class TestCutoff:
     @pytest.mark.parametrize(
         "t,expected",
         [(0.5, 1.0), (1.5, 0.5), (-3.0, 0.0), (1.0, 1.0), (2.0, 0.0), (-1.7, 0.3)],
     )
     def test_values(self, t, expected):
-        assert cutoff_chi(t) == pytest.approx(expected, abs=1e-15)
+        assert _cutoff(t) == pytest.approx(expected, abs=1e-15)
 
     def test_lipschitz_constant(self):
-        assert TENT_CUTOFF.lipschitz == 1.0
         ts = [i / 100.0 - 3.0 for i in range(601)]
         slopes = [
-            abs(cutoff_chi(b) - cutoff_chi(a)) / (b - a)
+            abs(_cutoff(b) - _cutoff(a)) / (b - a)
             for a, b in zip(ts[:-1], ts[1:])
         ]
         assert max(slopes) <= 1.0 + 1e-12
-
-
-class TestTrialU:
-    def test_center(self):
-        cfg = WedgeConfig(theta=0.6, alpha=1.0)
-        assert trial_u(0.0, 0.0, cfg, TrialParams(rho=1.0, n=5.0)) == 1.0
-
-    def test_outside_cutoff(self):
-        cfg = WedgeConfig(theta=PI_4, alpha=1.0)
-        assert trial_u(0.0, 30.0, cfg, TrialParams(rho=0.5, n=10.0)) == 0.0
-
-    def test_product_of_factors(self):
-        # frozen from the three factor oracles:
-        # exp(-1) * (2 - exp(-1))**0.5 * 1
-        cfg = WedgeConfig(theta=PI_4, alpha=1.0)
-        u = trial_u(-2.0, 1.0, cfg, TrialParams(rho=0.5, n=10.0))
-        assert u == pytest.approx(0.46998244446506876, rel=1e-12)
-
-    def test_rejects_rho_out_of_range(self):
-        cfg = WedgeConfig(theta=1.4, alpha=1.0)  # cot^2 small
-        with pytest.raises(DomainError):
-            trial_u(0.0, 0.0, cfg, TrialParams(rho=1.0, n=5.0))
 
 
 class TestClosedR:

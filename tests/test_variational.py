@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from wedgebound import (
     DomainError,
@@ -9,13 +12,16 @@ from wedgebound import (
     WedgeConfig,
     bound_constants,
     closed_R,
+    g_rho,
     norm_sq,
     optimize_bound,
+    profile_F,
     r_functional,
     rayleigh,
     verify_thm1,
 )
-from wedgebound.variational import golden_section
+from wedgebound.trial import g_rho_slope, profile_F_slope
+from wedgebound.variational import N_MAX_SCALE, _cut_breakpoints, golden_section
 
 PI_4 = math.pi / 4
 
@@ -89,6 +95,80 @@ class TestRayleigh:
         q1 = rayleigh(WedgeConfig(theta, 1.0), TrialParams(rho, n)).quotient
         qs = rayleigh(WedgeConfig(theta, s), TrialParams(rho, n / s)).quotient
         assert qs == pytest.approx(s**2 * q1, rel=1e-10)
+
+
+def _oracle_quotient(cfg, rho, n):
+    """Rayleigh quotient from scalar integrands through QUADPACK, panel by panel."""
+    tan_t, alpha = cfg.tan_theta, cfg.alpha
+
+    def chi(s):
+        return min(1.0, max(0.0, 2.0 - abs(s)))
+
+    def chi_slope(s):
+        return -math.copysign(1.0, s) if 1.0 < abs(s) < 2.0 else 0.0
+
+    def h(x):
+        return g_rho(x, cfg, rho) * chi(x / n)
+
+    def h_slope(x):
+        return g_rho_slope(x, cfg, rho) * chi(x / n) + g_rho(x, cfg, rho) * chi_slope(x / n) / n
+
+    def norm_integrand(x):
+        return h(x) ** 2 * profile_F(x * tan_t, alpha)
+
+    def r_integrand(x):
+        t = x * tan_t
+        hp = h_slope(x)
+        return hp * (hp * profile_F(t, alpha) - h(x) * profile_F_slope(t, alpha) / tan_t)
+
+    edges = [-2.0 * n, *_cut_breakpoints(cfg, n), 2.0 * n]
+
+    def oracle(f):
+        return sum(
+            quad(f, a, b, epsabs=1e-13 / len(edges), epsrel=1e-11, limit=200)[0]
+            for a, b in zip(edges[:-1], edges[1:])
+        )
+
+    return -(alpha**2) / 4.0 + oracle(r_integrand) / oracle(norm_integrand)
+
+
+class TestQuadratureOracle:
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("theta", [0.6, PI_4, 1.0, 1.3, 1.45])
+    def test_quotient_matches_quadpack(self, theta, alpha):
+        # corners and centre of optimize_bound's search box, plus its start
+        cfg = WedgeConfig(theta, alpha)
+        rep = bound_constants(cfg)
+        scale = 1.0 / (alpha * cfg.tan_theta)
+        n_lo = max(rep.n_opt / 100.0, scale / 100.0)
+        n_hi = N_MAX_SCALE * scale
+        cot_sq = cfg.cot_sq_theta
+        points = [(math.cos(theta) ** 2, rep.n_opt)]
+        for rho in (1e-6 * cot_sq, 0.5 * cot_sq, (1.0 - 1e-6) * cot_sq):
+            for n in (n_lo, math.sqrt(n_lo * n_hi), n_hi):
+                points.append((rho, n))
+        if theta == 1.3:
+            points.append((0.5 * cot_sq, 4e3))
+        for rho, n in points:
+            q = rayleigh(cfg, TrialParams(rho, n)).quotient
+            assert math.isfinite(q)
+            assert abs(q - _oracle_quotient(cfg, rho, n)) <= 1e-9 * alpha**2 / 4.0, (rho, n)
+
+    @given(
+        theta=st.floats(0.3, 1.45),
+        alpha=st.floats(0.5, 3.0),
+        rho_frac=st.floats(0.05, 0.95),
+        length=st.floats(0.5, 500.0),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_dilation_covariance(self, theta, alpha, rho_frac, length):
+        # quotient(theta, alpha, rho, n/alpha) = alpha^2 * quotient(theta, 1, rho, n)
+        cfg1 = WedgeConfig(theta, 1.0)
+        rho = rho_frac * cfg1.cot_sq_theta
+        n = length / cfg1.tan_theta
+        q1 = rayleigh(cfg1, TrialParams(rho, n)).quotient
+        qa = rayleigh(WedgeConfig(theta, alpha), TrialParams(rho, n / alpha)).quotient
+        assert qa == pytest.approx(alpha**2 * q1, rel=1e-12)
 
 
 class TestVerifyThm1:
