@@ -14,14 +14,7 @@ from .trial import (
     profile_F,
 )
 from .quadrature import ConvergenceError, QuadratureEstimate, integrate, quad_J
-from .variational import (
-    RayleighReport,
-    norm_sq,
-    optimize_bound,
-    r_functional,
-    rayleigh,
-    verify_thm1,
-)
+from .variational import RayleighReport, optimize_bound, rayleigh, verify_thm1
 from .spectral import (
     GridSpec,
     SpectralResult,
@@ -52,11 +45,9 @@ __all__ = [
     "integrate",
     "lambda_upper",
     "lowest_eigenvalue",
-    "norm_sq",
     "optimize_bound",
     "profile_F",
     "quad_J",
-    "r_functional",
     "rayleigh",
     "solve",
     "verify_thm1",

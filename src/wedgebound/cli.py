@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .quadrature import ConvergenceError
-from .spectral import delta_well_1d, solve
+from .spectral import solve
 from .trial import (
     DomainError,
     TrialParams,
@@ -57,9 +57,11 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = json.dumps(report, indent=2) + "\n"
     else:
-        flat = {**report.get("inputs", {}), **report.get("results", {})}
-        keys = list(flat)
-        text = ",".join(keys) + "\n" + ",".join(_fmt(flat[k]) for k in keys) + "\n"
+        # a sweep's CSV is its table of rows; any other report is one row
+        rows = report["results"].get("rows") or [{**report["inputs"], **report["results"]}]
+        keys = list(rows[0])
+        lines = [",".join(keys)] + [",".join(_fmt(row[k]) for k in keys) for row in rows]
+        text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -254,34 +256,22 @@ def cmd_sweep(args) -> int:
     thetas = [lo + (hi - lo) * i / (args.theta_steps - 1) for i in range(args.theta_steps)]
 
     rows = [_sweep_row(t, args) for t in thetas]
-
-    if args.format == "json":
-        _emit(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "sweep",
-                "inputs": {
-                    "theta_min": lo,
-                    "theta_max": hi,
-                    "theta_steps": args.theta_steps,
-                    "alpha": args.alpha,
-                    "with_solver": bool(args.with_solver),
-                },
-                "results": {"rows": rows},
+    _emit(
+        {
+            "schema": SCHEMA_VERSION,
+            "command": "sweep",
+            "inputs": {
+                "theta_min": lo,
+                "theta_max": hi,
+                "theta_steps": args.theta_steps,
+                "alpha": args.alpha,
+                "with_solver": bool(args.with_solver),
             },
-            "json",
-            args.out,
-        )
-    else:
-        lines = [",".join(SWEEP_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(_fmt(row[k]) for k in SWEEP_COLUMNS))
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+            "results": {"rows": rows},
+        },
+        args.format,
+        args.out,
+    )
     return 0
 
 

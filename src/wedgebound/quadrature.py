@@ -7,7 +7,9 @@ mapped onto [0, 1) by x = a + s/(1-s) (or x = b - s/(1-s)).  Each panel's
 error estimate is the difference between the 10-point rule on the whole
 panel and on its two halves; a panel whose estimate exceeds its share of
 the tolerance is bisected.  Integrands take an array of abscissae and are
-called once per refinement round with the nodes of every active panel.
+called once per refinement round with the nodes of every active panel.  An
+integrand may return a stack of components; they share one refinement tree,
+so integrals of the same profile cost one evaluation of it.
 """
 
 from __future__ import annotations
@@ -48,12 +50,15 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureEstimate:
-    value: float
-    abs_error_estimate: float
+    """Integral and error estimate: floats, or one entry per component of a
+    stacked integrand."""
+
+    value: float | np.ndarray
+    abs_error_estimate: float | np.ndarray
     evaluations: int
     converged: bool
 
-    def require(self) -> float:
+    def require(self) -> float | np.ndarray:
         """Return the value, raising if the estimate did not converge."""
         if not self.converged:
             raise ConvergenceError(
@@ -65,7 +70,8 @@ class QuadratureEstimate:
 
 
 def _rule_terms(f, u0, width, anchor, direction, unit_x, unit_w):
-    """Weighted integrand values at the rule's nodes, one row per panel.
+    """Weighted integrand values at the rule's nodes, shaped (components,
+    panels, nodes), and whether the integrand returned a stack.
 
     A panel with direction 0 spans x in [u0, u0 + width]; direction +1 or -1
     maps s in [u0, u0 + width] within [0, 1) to x = anchor + direction*s/(1-s).
@@ -74,7 +80,8 @@ def _rule_terms(f, u0, width, anchor, direction, unit_x, unit_w):
     mapped = (direction != 0.0)[:, None]
     q = np.where(mapped, 1.0 - s, 1.0)
     x = np.where(mapped, anchor[:, None] + direction[:, None] * s / q, s)
-    return f(x) * np.where(mapped, 1.0 / (q * q), 1.0) * (width[:, None] * unit_w)
+    fx = f(x) * np.where(mapped, 1.0 / (q * q), 1.0) * (width[:, None] * unit_w)
+    return fx.reshape(-1, *x.shape), fx.ndim > x.ndim
 
 
 def integrate(
@@ -88,11 +95,22 @@ def integrate(
 ) -> QuadratureEstimate:
     """Integrate ``f`` over (lo, hi), either endpoint possibly infinite.
 
-    ``f`` maps an array of abscissae to the array of integrand values.
-    Breakpoints strictly inside the interval split it into panels that are
-    refined independently, so kinks never sit inside a panel.  The estimate
-    has converged when refinement ended within ``budget`` evaluations and
-    the summed error estimate is within ``abs_tol + rel_tol * (integral of |f|)``.
+    ``f`` maps an array ``x`` of abscissae to the array of integrand values,
+    or to a stack of k components of shape ``(k,) + x.shape``.  Breakpoints
+    strictly inside the interval split it into panels that are refined
+    independently, so kinks never sit inside a panel.  All components share
+    one refinement tree: a panel is bisected while any component's error
+    estimate on it exceeds its share of ``abs_tol + rel_tol * (integral of
+    |f_k|)``.  ``value`` and ``abs_error_estimate`` are floats for a scalar
+    integrand and arrays of k entries for a stack; ``evaluations`` counts
+    abscissae, not component values.  The estimate has converged when
+    refinement ended within ``budget`` evaluations and every component's
+    summed error estimate is within its tolerance.
+
+    The integrand must be smooth on each panel.  The tolerance share of a
+    panel halves with each bisection, so an integrable endpoint singularity
+    such as 1/sqrt(x) on (0, 1), whose panel error falls only as the square
+    root of its width, exhausts the budget and reports ``converged=False``.
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi, got lo={lo}, hi={hi}")
@@ -120,23 +138,24 @@ def integrate(
     evaluations = 0
     ok = True
     while True:
-        fx = _rule_terms(f, u0, width, anchor, direction, nodes, weights)
-        evaluations += fx.size
+        fx, stacked = _rule_terms(f, u0, width, anchor, direction, nodes, weights)
+        evaluations += u0.size * nodes.size
         if whole is None:
-            whole = fx[:, 2 * _K :].sum(axis=1)
+            whole = fx[..., 2 * _K :].sum(axis=-1)
             nodes, weights = _NODES[: 2 * _K], _WEIGHTS[: 2 * _K]
-        left = fx[:, :_K].sum(axis=1)
-        right = fx[:, _K : 2 * _K].sum(axis=1)
-        l1 = np.abs(fx[:, : 2 * _K]).sum(axis=1)
+        left = fx[..., :_K].sum(axis=-1)
+        right = fx[..., _K : 2 * _K].sum(axis=-1)
+        l1 = np.abs(fx[..., : 2 * _K]).sum(axis=-1)
         panel_err = np.abs(whole - (left + right))
-        split = ~(panel_err <= share * abs_tol + rel_tol * l1)  # NaN splits too
+        # a panel splits while any component misses its share; NaN splits too
+        split = ~(panel_err <= share * abs_tol + rel_tol * l1).all(axis=0)
         if evaluations + 4 * _K * np.count_nonzero(split) > budget:
             ok = False
             split[:] = False
         keep = ~split
-        value += float((left + right)[keep].sum())
-        err += float(panel_err[keep].sum())
-        l1_mass += float(l1[keep].sum())
+        value += (left + right)[:, keep].sum(axis=-1)
+        err += panel_err[:, keep].sum(axis=-1)
+        l1_mass += l1[:, keep].sum(axis=-1)
         if not split.any():
             break
         u0, half = u0[split], width[split] / 2.0
@@ -145,9 +164,11 @@ def integrate(
         anchor = np.tile(anchor[split], 2)
         direction = np.tile(direction[split], 2)
         share = np.tile(share[split] / 2.0, 2)
-        whole = np.concatenate([left[split], right[split]])
+        whole = np.concatenate([left[:, split], right[:, split]], axis=-1)
 
-    converged = ok and err <= abs_tol + rel_tol * l1_mass
+    converged = ok and bool(np.all(err <= abs_tol + rel_tol * l1_mass))
+    if not stacked:
+        value, err = float(value[0]), float(err[0])
     return QuadratureEstimate(
         value=value,
         abs_error_estimate=err,
@@ -156,12 +177,7 @@ def integrate(
     )
 
 
-def quad_J(
-    cfg: WedgeConfig,
-    rho: float,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> QuadratureEstimate:
+def quad_J(cfg: WedgeConfig, rho: float) -> QuadratureEstimate:
     """Numeric value of the weighted profile integral over the whole line.
 
     Cross-checks the closed form (2^(2*rho)-1) / (rho*(2*rho+1)*tan(theta)*alpha^(2*rho)).
@@ -189,11 +205,4 @@ def quad_J(
         x_peak = math.log((2.0 * rho + 1.0) / 4.0) / (alpha * tan_t)
         breakpoints.extend((0.5 * x_peak, x_peak, 2.0 * x_peak, 4.0 * x_peak))
 
-    return integrate(
-        integrand,
-        -math.inf,
-        math.inf,
-        abs_tol=abs_tol,
-        rel_tol=rel_tol,
-        breakpoints=breakpoints,
-    )
+    return integrate(integrand, -math.inf, math.inf, breakpoints=breakpoints)

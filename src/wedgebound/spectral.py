@@ -42,6 +42,10 @@ __all__ = [
 
 BOUNDARY_MASS_LIMIT = 1e-10
 RESIDUAL_LIMIT = 1e-8
+#: Lanczos convergence tolerance, and how often a shift found to sit at or
+#: above the spectrum (or to fail outright) is lowered and retried.
+EIG_TOL = 1e-12
+MAX_SHIFT_RETRIES = 4
 
 
 @dataclass(frozen=True)
@@ -169,11 +173,7 @@ def _residual(H: sp.spmatrix, lam: float, v: np.ndarray) -> float:
 
 
 def lowest_eigenvalue(
-    H: sp.spmatrix,
-    tol: float = 1e-12,
-    shift: float | None = None,
-    grid: GridSpec | None = None,
-    max_shift_retries: int = 4,
+    H: sp.spmatrix, shift: float, grid: GridSpec | None = None
 ) -> SpectralResult:
     """Smallest eigenvalue by shift-and-invert Lanczos iteration.
 
@@ -187,22 +187,20 @@ def lowest_eigenvalue(
     v0 = np.ones(M)
     sigma = shift
     last_exc: RuntimeError | None = None
-    for _ in range(max_shift_retries + 1):
+    for _ in range(MAX_SHIFT_RETRIES + 1):
         try:
-            lam, v, lu = _lanczos(H, sigma, tol, v0)
+            lam, v, lu = _lanczos(H, sigma, v0)
         except RuntimeError as exc:
             # ArpackError (ArpackNoConvergence included) or SuperLU's
             # "factor is exactly singular"; any other error propagates
             last_exc = exc
-            if sigma is None:
-                break
             sigma = 4.0 * sigma - 1.0
             continue
-        if sigma is not None and lam <= sigma:
+        if lam <= sigma:
             sigma = lam - 4.0 * abs(lam - sigma) - 1.0
             continue
         res = _residual(H, lam, v)
-        if res > RESIDUAL_LIMIT * abs(lam) and lu is not None:
+        if res > RESIDUAL_LIMIT * abs(lam):
             lam, v, res = _polish(H, lu, v)
         if res > RESIDUAL_LIMIT * abs(lam):
             raise ConvergenceError(
@@ -216,19 +214,16 @@ def lowest_eigenvalue(
     raise ConvergenceError(f"shift-invert eigensolver failed: {last_exc}")
 
 
-def _lanczos(H: sp.spmatrix, sigma: float | None, tol: float, v0: np.ndarray):
-    """One eigsh run: the lowest eigenpair and, in shift-invert mode, the
-    SuperLU factor of H - sigma*I that it used (else None)."""
-    if sigma is None:
-        vals, vecs = eigsh(H, k=1, which="SA", tol=tol, v0=v0)
-        return float(vals[0]), vecs[:, 0], None
+def _lanczos(H: sp.spmatrix, sigma: float, v0: np.ndarray):
+    """One shift-invert eigsh run: the eigenpair nearest sigma and the
+    SuperLU factor of H - sigma*I that it used."""
     # H is symmetric, so order by minimum degree on H^T + H, not COLAMD
     lu = splu(
         sp.csc_matrix(H - sigma * sp.identity(H.shape[0])),
         permc_spec="MMD_AT_PLUS_A",
     )
     op = LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
-    vals, vecs = eigsh(H, k=1, sigma=sigma, which="LM", tol=tol, v0=v0, OPinv=op)
+    vals, vecs = eigsh(H, k=1, sigma=sigma, which="LM", tol=EIG_TOL, v0=v0, OPinv=op)
     return float(vals[0]), vecs[:, 0], lu
 
 
@@ -261,7 +256,7 @@ def _even_isometry(m: int) -> sp.csr_matrix:
     )
 
 
-def _solve_level(cfg: WedgeConfig, grid: GridSpec, tol: float, shift: float) -> SpectralResult:
+def _solve_level(cfg: WedgeConfig, grid: GridSpec, shift: float) -> SpectralResult:
     """Ground state of one grid level, solved on the even subspace.
 
     The eigenvector is lifted back to the full grid and its residual is
@@ -270,9 +265,7 @@ def _solve_level(cfg: WedgeConfig, grid: GridSpec, tol: float, shift: float) -> 
     H = assemble(cfg, grid)
     P = _even_isometry(grid.n_interior)
     R = P.T @ H @ P
-    result = lowest_eigenvalue(
-        ((R + R.T) * 0.5).tocsr(), tol=tol, shift=shift, grid=grid
-    )
+    result = lowest_eigenvalue(((R + R.T) * 0.5).tocsr(), shift=shift, grid=grid)
     result.eigenvector = P @ result.eigenvector
     result.residual_norm = _residual(H, result.eigenvalue, result.eigenvector)
     return result
@@ -309,7 +302,6 @@ def solve(
     cfg: WedgeConfig,
     L: float | None = None,
     h: float | None = None,
-    tol: float = 1e-12,
     max_enlargements: int = 2,
 ) -> SpectralResult:
     """Extrapolated ground eigenvalue from the grid sequence h, h/2, h/4.
@@ -334,7 +326,7 @@ def solve(
 
     enlargements = 0
     while True:
-        coarse = _solve_level(cfg, grid, tol, shift)
+        coarse = _solve_level(cfg, grid, shift)
         mass = _boundary_mass(coarse.eigenvector, grid.n_interior)
         if mass <= BOUNDARY_MASS_LIMIT or enlargements >= max_enlargements:
             break
@@ -345,7 +337,7 @@ def solve(
     result = coarse
     for _ in range(2):
         grid = grid.refined()
-        result = _solve_level(cfg, grid, tol, shift)
+        result = _solve_level(cfg, grid, shift)
         lams.append(result.eigenvalue)
 
     hs = (4.0 * grid.h, 2.0 * grid.h, grid.h)
@@ -356,23 +348,17 @@ def solve(
     return result
 
 
-def delta_well_1d(
-    alpha: float,
-    L: float | None = None,
-    h: float | None = None,
-) -> SpectralResult:
+def delta_well_1d(alpha: float) -> SpectralResult:
     """Calibration path: 1D well -u'' - alpha*delta(0) on [-L, L], Dirichlet.
 
     Discretized the same way as the 2D form (3-point stencil, -alpha/h at
-    the origin node) on spacings h and h/2, Richardson-extrapolated.  The
-    continuum eigenvalue is -alpha^2/4.
+    the origin node) on spacings h = L/512 and h/2 with L = 16/alpha,
+    Richardson-extrapolated.  The continuum eigenvalue is -alpha^2/4.
     """
     if not alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    if L is None:
-        L = 16.0 / alpha
-    if h is None:
-        h = L / 512.0
+    L = 16.0 / alpha
+    h = L / 512.0
 
     def eig(grid: GridSpec) -> float:
         n = grid.n_intervals

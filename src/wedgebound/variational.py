@@ -2,6 +2,10 @@
 
 The trial function separates as exp(-alpha*|x1|/2) * h(x2) with
 h = g_rho * chi(./n), so every quantity reduces to a 1D integral in x2.
+The Rayleigh quotient is the ratio of two such integrals of the same
+profile, the energy functional R and the squared norm N; rayleigh()
+integrates them as the two components of one stacked integrand, so the
+profile is evaluated once per abscissa and both share one refinement tree.
 Derivatives of h are taken analytically piecewise; numerical
 differentiation would dominate the error budget of the energy functional.
 The integrands are numpy functions of an array of abscissae, and powers of
@@ -16,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, integrate
+from .quadrature import integrate
 from .trial import (
     DomainError,
     TrialParams,
@@ -27,8 +31,6 @@ from .trial import (
 
 __all__ = [
     "RayleighReport",
-    "norm_sq",
-    "r_functional",
     "rayleigh",
     "verify_thm1",
     "optimize_bound",
@@ -38,6 +40,14 @@ __all__ = [
 #: Beyond this multiple of the natural length scale the quotient is within
 #: 1e-6 * alpha^2 of its large-n limit and optimization stalls by design.
 N_MAX_SCALE = 1e4
+#: verify_thm1 gives up after this many doublings of the cutoff scale.
+MAX_DOUBLINGS = 60
+#: optimize_bound's cap on coordinate-descent sweeps, and its relative
+#: tolerance for both the line searches and the per-sweep gain.
+MAX_SWEEPS = 30
+OPT_REL_TOL = 1e-6
+#: golden_section's iteration cap.
+GOLDEN_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -86,63 +96,27 @@ def _cut_breakpoints(cfg: WedgeConfig, n: float) -> tuple[float, ...]:
     return tuple(sorted(p for p in pts if -2.0 * n < p < 2.0 * n))
 
 
-def norm_sq(
-    cfg: WedgeConfig,
-    params: TrialParams,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> float:
-    """Squared L2 norm of the trial function over the wedge domain."""
-    params.check(cfg)
+def rayleigh(cfg: WedgeConfig, params: TrialParams) -> RayleighReport:
+    """Rayleigh quotient report; quotient = -alpha^2/4 + R/norm^2 by identity.
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        h, _, f, _ = _trial_profile(cfg, params, x)
-        return h * h * f
-
-    est = integrate(
-        integrand,
-        -2.0 * params.n,
-        2.0 * params.n,
-        abs_tol=abs_tol,
-        rel_tol=rel_tol,
-        breakpoints=_cut_breakpoints(cfg, params.n),
-    )
-    return est.require()
-
-
-def r_functional(
-    cfg: WedgeConfig,
-    params: TrialParams,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> float:
-    """Energy functional of the cut-off profile, by quadrature.
-
-    Converges to closed_R(cfg, rho) as n grows, with O(1/n) error from the
-    cutoff wings; the raw value is reported without sign judgment.
+    R and norm^2 come from one quadrature of the stacked integrand.  R
+    converges to closed_R(cfg, rho) as n grows, with O(1/n) error from the
+    cutoff wings, and is reported without sign judgment.
     """
     params.check(cfg)
     cot_t = 1.0 / cfg.tan_theta
 
     def integrand(x: np.ndarray) -> np.ndarray:
         h, hp, f, fp = _trial_profile(cfg, params, x)
-        return hp * (hp * f - h * fp * cot_t)
+        return np.stack([hp * (hp * f - h * fp * cot_t), h * h * f])
 
     est = integrate(
         integrand,
         -2.0 * params.n,
         2.0 * params.n,
-        abs_tol=abs_tol,
-        rel_tol=rel_tol,
         breakpoints=_cut_breakpoints(cfg, params.n),
     )
-    return est.require()
-
-
-def rayleigh(cfg: WedgeConfig, params: TrialParams) -> RayleighReport:
-    """Rayleigh quotient report; quotient = -alpha^2/4 + R/norm^2 by identity."""
-    r = r_functional(cfg, params)
-    ns = norm_sq(cfg, params)
+    r, ns = est.require().tolist()
     ratio = r / ns
     return RayleighReport(
         r_value=r,
@@ -153,9 +127,7 @@ def rayleigh(cfg: WedgeConfig, params: TrialParams) -> RayleighReport:
     )
 
 
-def verify_thm1(
-    cfg: WedgeConfig, rho: float, max_doublings: int = 60
-) -> tuple[float, RayleighReport]:
+def verify_thm1(cfg: WedgeConfig, rho: float) -> tuple[float, RayleighReport]:
     """Search a doubling sequence of cutoff scales until the energy is negative.
 
     Starts at the natural transition length 1/(alpha*tan(theta)); guaranteed
@@ -166,10 +138,10 @@ def verify_thm1(
             f"rho must lie in (0, cot^2 theta) = (0, {cfg.cot_sq_theta}), got {rho}"
         )
     n = 1.0 / (cfg.alpha * cfg.tan_theta)
-    for _ in range(max_doublings + 1):
-        params = TrialParams(rho=rho, n=n)
-        if r_functional(cfg, params) < 0.0:
-            return n, rayleigh(cfg, params)
+    for _ in range(MAX_DOUBLINGS + 1):
+        report = rayleigh(cfg, TrialParams(rho=rho, n=n))
+        if report.r_value < 0.0:
+            return n, report
         n *= 2.0
     raise RuntimeError(
         f"no negative energy found up to n={n}; this should be impossible"
@@ -181,14 +153,13 @@ def golden_section(
     a: float,
     b: float,
     rel_tol: float = 1e-6,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
     """Minimize a unimodal function on [a, b]; returns (x_min, f(x_min))."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         if abs(b - a) <= rel_tol * (abs(a) + abs(b)):
             break
         if fc < fd:
@@ -202,11 +173,7 @@ def golden_section(
     return (c, fc) if fc < fd else (d, fd)
 
 
-def optimize_bound(
-    cfg: WedgeConfig,
-    max_sweeps: int = 30,
-    rel_tol: float = 1e-6,
-) -> tuple[TrialParams, RayleighReport]:
+def optimize_bound(cfg: WedgeConfig) -> tuple[TrialParams, RayleighReport]:
     """Improve the Rayleigh quotient over (rho, n) by coordinate descent.
 
     Deterministic golden-section line searches, initialized at the
@@ -227,9 +194,9 @@ def optimize_bound(
 
     best_q = quotient(rho, n)
     best = (rho, n)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         prev_q = best_q
-        rho, q = golden_section(lambda r: quotient(r, best[1]), rho_lo, rho_hi, rel_tol)
+        rho, q = golden_section(lambda r: quotient(r, best[1]), rho_lo, rho_hi, OPT_REL_TOL)
         if q < best_q:
             best_q, best = q, (rho, best[1])
         # search over log(n): the optimum scale spans orders of magnitude
@@ -237,12 +204,12 @@ def optimize_bound(
             lambda t: quotient(best[0], math.exp(t)),
             math.log(n_lo),
             math.log(n_hi),
-            rel_tol,
+            OPT_REL_TOL,
         )
         if q < best_q:
             best_q, best = q, (best[0], math.exp(s))
         gain = prev_q - best_q
-        if gain <= rel_tol * abs(best_q):
+        if gain <= OPT_REL_TOL * abs(best_q):
             break
 
     best_params = TrialParams(rho=best[0], n=best[1])

@@ -20,7 +20,6 @@ from wedgebound import (
     lambda_upper,
     optimize_bound,
     quad_J,
-    r_functional,
     rayleigh,
     solve,
     verify_thm1,
@@ -96,7 +95,7 @@ def test_criterion_4_theorem_1_grid():
                 if not rep.r_value < 0.0:
                     failures.append((theta, alpha, rho))
         rep = bound_constants(cfg1)
-        r = r_functional(cfg1, TrialParams(rho=math.cos(theta) ** 2, n=rep.n_opt))
+        r = rayleigh(cfg1, TrialParams(rho=math.cos(theta) ** 2, n=rep.n_opt)).r_value
         if not r <= -rep.a / 2.0:
             chain_ok = False
     ok = not failures and chain_ok
@@ -110,7 +109,7 @@ def test_criterion_5_cutoff_convergence_rate():
         cfg = WedgeConfig(theta, alpha)
         rho = math.cos(theta) ** 2
         target = closed_R(cfg, rho)
-        errs = [abs(r_functional(cfg, TrialParams(rho=rho, n=n)) - target) for n in ns]
+        errs = [abs(rayleigh(cfg, TrialParams(rho=rho, n=n)).r_value - target) for n in ns]
         slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
         slopes.append(slope)
     ok = all(-1.3 <= s <= -0.7 for s in slopes)

@@ -176,6 +176,18 @@ class TestSweep:
         assert rows[1]["status"].startswith("error:")
         assert "," not in rows[1]["status"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_matches_stdout(self, capsys, tmp_path, fmt):
+        argv = ["sweep", "--theta-min", "0.5", "--theta-max", "0.9", "--theta-steps", "2",
+                "--format", fmt]
+        code, printed, _ = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "sweep.out"
+        code, silent, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert silent == ""
+        assert path.read_bytes() == printed.encode("utf-8")
+
     def test_programming_error_escapes(self, monkeypatch):
         def bug(cfg):
             raise TypeError("bug")

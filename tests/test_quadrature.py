@@ -76,6 +76,47 @@ class TestIntegrate:
             est.require()
 
 
+    @pytest.mark.parametrize(
+        "f, g, lo, hi",
+        [
+            (lambda x: np.exp(-np.abs(x)), lambda x: x * x * np.exp(-np.abs(x)), -math.inf, math.inf),
+            # exact on the first round next to a sharp peak: the shared tree
+            # must refine for the peak although the polynomial has converged
+            (lambda x: x * x, lambda x: 1.0 / (1.0 + 1e4 * (x - 0.3) ** 2), 0.0, 1.0),
+        ],
+        ids=["exponential_moments", "polynomial_and_peak"],
+    )
+    def test_stacked_components_match_scalar_calls(self, f, g, lo, hi):
+        est = integrate(lambda x: np.stack([f(x), g(x)]), lo, hi)
+        assert est.converged
+        assert est.value.shape == est.abs_error_estimate.shape == (2,)
+        for value, h in zip(est.value, (f, g)):
+            assert abs(value - integrate(h, lo, hi).value) <= 1e-12
+
+        # evaluations count abscissae, not component values
+        seen = []
+
+        def counting(x):
+            seen.append(x.size)
+            return np.stack([f(x), g(x)])
+
+        assert integrate(counting, lo, hi).evaluations == sum(seen)
+
+    def test_stacked_budget_exhaustion(self):
+        est = integrate(
+            lambda x: np.stack([np.exp(-x), np.abs(np.sin(100.0 / (x + 1e-3)))]),
+            0.0,
+            1.0,
+            abs_tol=1e-13,
+            rel_tol=1e-13,
+            budget=400,
+        )
+        assert est.converged is False
+        assert np.all(np.isfinite(est.value))
+        with pytest.raises(Exception):
+            est.require()
+
+
 class TestQuadJ:
     def test_reference_point(self):
         cfg = WedgeConfig(theta=math.pi / 4, alpha=1.0)

@@ -13,10 +13,8 @@ from wedgebound import (
     bound_constants,
     closed_R,
     g_rho,
-    norm_sq,
     optimize_bound,
     profile_F,
-    r_functional,
     rayleigh,
     verify_thm1,
 )
@@ -38,16 +36,16 @@ def report(cfg):
 
 class TestNormSq:
     def test_positive(self, cfg):
-        assert norm_sq(cfg, TrialParams(rho=0.5, n=10.0)) > 0.0
+        assert rayleigh(cfg, TrialParams(rho=0.5, n=10.0)).norm_sq > 0.0
 
     def test_linear_upper_bound(self, cfg, report):
         # norm^2 <= c*n at rho = cos^2(theta)
         for n in (20.0, 75.0, 300.0):
-            assert norm_sq(cfg, TrialParams(rho=0.5, n=n)) <= report.c * n
+            assert rayleigh(cfg, TrialParams(rho=0.5, n=n)).norm_sq <= report.c * n
 
     def test_asymptotic_slope_bounded(self, cfg, report):
         ns = [50.0, 100.0, 200.0]
-        vals = [norm_sq(cfg, TrialParams(rho=0.5, n=n)) for n in ns]
+        vals = [rayleigh(cfg, TrialParams(rho=0.5, n=n)).norm_sq for n in ns]
         slope = np.polyfit(ns, vals, 1)[0]
         assert 0.0 < slope <= report.c
 
@@ -56,20 +54,20 @@ class TestRFunctional:
     def test_converges_to_closed_form(self, cfg):
         target = closed_R(cfg, 0.5)
         errs = [
-            abs(r_functional(cfg, TrialParams(rho=0.5, n=n)) - target)
+            abs(rayleigh(cfg, TrialParams(rho=0.5, n=n)).r_value - target)
             for n in (50.0, 100.0, 200.0)
         ]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.025
 
     def test_chain_inequality_at_default(self, cfg, report):
-        r = r_functional(cfg, TrialParams(rho=0.5, n=report.n_opt))
+        r = rayleigh(cfg, TrialParams(rho=0.5, n=report.n_opt)).r_value
         assert r <= -(report.a - report.b / report.n_opt)
         assert r <= -report.a / 2.0
 
     def test_small_n_may_be_positive(self, cfg):
         # raw value is reported without judgment
-        r = r_functional(cfg, TrialParams(rho=0.5, n=0.05))
+        r = rayleigh(cfg, TrialParams(rho=0.5, n=0.05)).r_value
         assert math.isfinite(r)
 
 
@@ -98,7 +96,8 @@ class TestRayleigh:
 
 
 def _oracle_quotient(cfg, rho, n):
-    """Rayleigh quotient from scalar integrands through QUADPACK, panel by panel."""
+    """Rayleigh quotient, energy functional and squared norm from scalar
+    integrands through QUADPACK, panel by panel."""
     tan_t, alpha = cfg.tan_theta, cfg.alpha
 
     def chi(s):
@@ -129,7 +128,8 @@ def _oracle_quotient(cfg, rho, n):
             for a, b in zip(edges[:-1], edges[1:])
         )
 
-    return -(alpha**2) / 4.0 + oracle(r_integrand) / oracle(norm_integrand)
+    r, ns = oracle(r_integrand), oracle(norm_integrand)
+    return -(alpha**2) / 4.0 + r / ns, r, ns
 
 
 class TestQuadratureOracle:
@@ -150,9 +150,12 @@ class TestQuadratureOracle:
         if theta == 1.3:
             points.append((0.5 * cot_sq, 4e3))
         for rho, n in points:
-            q = rayleigh(cfg, TrialParams(rho, n)).quotient
-            assert math.isfinite(q)
-            assert abs(q - _oracle_quotient(cfg, rho, n)) <= 1e-9 * alpha**2 / 4.0, (rho, n)
+            rep = rayleigh(cfg, TrialParams(rho, n))
+            q, r, ns = _oracle_quotient(cfg, rho, n)
+            assert math.isfinite(rep.quotient)
+            assert abs(rep.quotient - q) <= 1e-9 * alpha**2 / 4.0, (rho, n)
+            assert abs(rep.r_value - r) <= 1e-9 * alpha**2 / 4.0 * ns, (rho, n)
+            assert abs(rep.norm_sq - ns) <= 1e-9 * ns, (rho, n)
 
     @given(
         theta=st.floats(0.3, 1.45),
