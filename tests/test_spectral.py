@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from wedgebound import (
     ConvergenceError,
@@ -17,7 +20,14 @@ from wedgebound import (
     solve,
 )
 from wedgebound import spectral
-from wedgebound.spectral import _even_isometry, _residual, delta_line_matrix, dirichlet_laplacian
+from wedgebound.spectral import (
+    _even_isometry,
+    _has_positive_off_diagonal,
+    _next_shift,
+    _residual,
+    delta_line_matrix,
+    dirichlet_laplacian,
+)
 
 PI_4 = math.pi / 4
 
@@ -74,6 +84,17 @@ class TestAssemble:
         with pytest.raises(DomainError):
             assemble(WedgeConfig(0.7, 0.1), GridSpec(12.0, 12.0 / 64))
 
+    @given(theta=st.floats(0.2, 1.5), alpha=st.floats(0.5, 3.0))
+    @settings(max_examples=30, deadline=None)
+    def test_z_matrix(self, theta, alpha):
+        # the shift certificate of lowest_eigenvalue rests on this
+        L = 8.0 / alpha
+        g = GridSpec(L, L / 64)  # the coarsest grid GridSpec allows
+        H = assemble(WedgeConfig(theta, alpha), g)
+        P = _even_isometry(g.n_interior)
+        assert not _has_positive_off_diagonal(H)
+        assert not _has_positive_off_diagonal(P.T @ H @ P)
+
     def test_delta_term_negative_semidefinite_direction(self):
         g = GridSpec(12.0, 12.0 / 64)
         D = delta_line_matrix(WedgeConfig(0.9, 1.0), g)
@@ -104,12 +125,46 @@ class TestLowestEigenvalue:
         r2 = lowest_eigenvalue(H, shift=-2.0, grid=g)
         assert r1.eigenvalue == r2.eigenvalue
 
-    def test_bad_shift_recovers(self):
-        # a shift above the lowest eigenvalue must be detected and lowered
+    @pytest.fixture(scope="class")
+    def spectrum(self):
+        # lambda_0 = -0.2541 and lambda_1 = -0.1905 on this grid
         g = GridSpec(12.0, 12.0 / 128)
         H = assemble(WedgeConfig(PI_4, 1.0), g)
-        res = lowest_eigenvalue(H, shift=-0.26, grid=g)
-        assert res.eigenvalue < -0.25
+        lams = eigsh(H, k=2, sigma=-2.0, which="LM", return_eigenvectors=False)
+        return H, g, sorted(lams)
+
+    def test_bad_shift_recovers(self, spectrum):
+        # a shift above the lowest eigenvalue must be detected and lowered
+        H, g, (lam0, lam1) = spectrum
+        res = lowest_eigenvalue(H, shift=lam0 + 0.25 * (lam1 - lam0), grid=g)
+        assert res.eigenvalue == pytest.approx(lam0, rel=1e-9, abs=0.0)
+        assert res.shift < lam0
+
+    def test_shift_nearer_second_eigenvalue(self, spectrum):
+        # Lanczos converges to the eigenvalue nearest the shift, lambda_1
+        # here, which lies above the shift: only the certificate rejects it
+        H, g, (lam0, lam1) = spectrum
+        res = lowest_eigenvalue(H, shift=lam0 + 0.75 * (lam1 - lam0), grid=g)
+        assert res.eigenvalue == pytest.approx(lam0, rel=1e-9, abs=0.0)
+        assert res.shift < lam0
+
+    def test_rejects_positive_off_diagonal(self):
+        g = GridSpec(12.0, 12.0 / 64)
+        H = assemble(WedgeConfig(PI_4, 1.0), g).tolil()
+        H[0, 1] = H[1, 0] = 1e-3
+        with pytest.raises(DomainError):
+            lowest_eigenvalue(H.tocsr(), shift=-2.0, grid=g)
+
+    def test_previous_level_shift_saves_solves(self):
+        cfg = WedgeConfig(PI_4, 1.0)
+        coarse = GridSpec(48.0, 0.75)
+        lam = lowest_eigenvalue(assemble(cfg, coarse), shift=-2.0).eigenvalue
+        H = assemble(cfg, coarse.refined())
+        fixed = lowest_eigenvalue(H, shift=-2.0)
+        near = lowest_eigenvalue(H, shift=_next_shift([lam]))
+        assert (fixed.shift, near.shift) == (-2.0, _next_shift([lam]))
+        assert near.eigenvalue == pytest.approx(fixed.eigenvalue, rel=1e-9, abs=0.0)
+        assert near.solves < fixed.solves
 
 
 class TestDeltaWell1D:
@@ -163,12 +218,20 @@ class TestEvenSubspace:
         g = GridSpec(12.0, 12.0 / 64)
         return cfg, g, solve(cfg, L=g.L, h=g.h, max_enlargements=0)
 
-    def test_matches_full_grid(self, reduced):
-        cfg, g, res = reduced
-        for lam in res.grid_eigenvalues:
-            full = lowest_eigenvalue(assemble(cfg, g), shift=-2.0, grid=g).eigenvalue
-            assert lam == pytest.approx(full, rel=1e-9, abs=0.0)
-            g = g.refined()
+    def test_matches_full_grid(self):
+        # adaptive shifts on the even subspace against the fixed shift
+        # -2*alpha^2 on the full grid
+        for theta, alpha in itertools.product((0.3, PI_4, 1.3), (1.0, 2.0)):
+            cfg = WedgeConfig(theta, alpha)
+            g = GridSpec(12.0, 12.0 / 64)
+            res = solve(cfg, L=g.L, h=g.h, max_enlargements=0)
+            for lam in res.grid_eigenvalues:
+                H = assemble(cfg, g)
+                full = lowest_eigenvalue(H, shift=-2.0 * alpha**2, grid=g)
+                assert lam == pytest.approx(full.eigenvalue, rel=1e-9, abs=0.0), (
+                    theta, alpha, g
+                )
+                g = g.refined()
 
     def test_lifted_eigenvector(self, reduced):
         cfg, _, res = reduced
