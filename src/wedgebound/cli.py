@@ -2,6 +2,8 @@
 
 All outputs are deterministic for a given invocation; JSON reports carry a
 pinned schema version and floats serialize via shortest round-trip decimals.
+Each ``cmd_*`` returns its report's inputs and results; ``main`` wraps them
+in the report and emits it, only once the command has succeeded.
 """
 
 from __future__ import annotations
@@ -76,144 +78,73 @@ def _theta(args) -> float:
     return math.radians(t) if args.degrees else t
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> tuple[dict, dict]:
     cfg = WedgeConfig(theta=_theta(args), alpha=args.alpha)
     rep = bound_constants(cfg)
-    _emit(
-        {
-            "schema": SCHEMA_VERSION,
-            "command": "bound",
-            "inputs": {"theta": cfg.theta, "alpha": cfg.alpha},
-            "results": {
-                "a": rep.a,
-                "b": rep.b,
-                "c": rep.c,
-                "B": rep.big_b,
-                "n_opt": rep.n_opt,
-                "capital_lambda": rep.capital_lambda,
-                "lambda_upper_bound": rep.lambda_upper_bound,
-            },
-        },
-        args.format,
-        args.out,
-    )
-    return 0
+    return {"theta": cfg.theta, "alpha": cfg.alpha}, {
+        "a": rep.a,
+        "b": rep.b,
+        "c": rep.c,
+        "B": rep.big_b,
+        "n_opt": rep.n_opt,
+        "capital_lambda": rep.capital_lambda,
+        "lambda_upper_bound": rep.lambda_upper_bound,
+    }
 
 
-def _default_params(cfg: WedgeConfig, args) -> TrialParams:
-    rep = bound_constants(cfg)
-    rho = args.rho if args.rho is not None else math.cos(cfg.theta) ** 2
-    n = args.n if args.n is not None else rep.n_opt
-    return TrialParams(rho=rho, n=n)
+def _rho(cfg: WedgeConfig, args) -> float:
+    return args.rho if args.rho is not None else math.cos(cfg.theta) ** 2
 
 
-def cmd_rayleigh(args) -> int:
+def cmd_rayleigh(args) -> tuple[dict, dict]:
     cfg = WedgeConfig(theta=_theta(args), alpha=args.alpha)
-    params = _default_params(cfg, args)
+    n_opt = bound_constants(cfg).n_opt  # also refuses theta = pi/2, even with --n
+    params = TrialParams(rho=_rho(cfg, args), n=args.n if args.n is not None else n_opt)
     rep = rayleigh(cfg, params)
-    _emit(
-        {
-            "schema": SCHEMA_VERSION,
-            "command": "rayleigh",
-            "inputs": {
-                "theta": cfg.theta,
-                "alpha": cfg.alpha,
-                "rho": params.rho,
-                "n": params.n,
-            },
-            "results": {
-                "r_value": rep.r_value,
-                "norm_sq": rep.norm_sq,
-                "quotient": rep.quotient,
-                "margin": rep.margin,
-            },
-        },
-        args.format,
-        args.out,
-    )
-    return 0
+    return {"theta": cfg.theta, "alpha": cfg.alpha, "rho": params.rho, "n": params.n}, {
+        "r_value": rep.r_value,
+        "norm_sq": rep.norm_sq,
+        "quotient": rep.quotient,
+        "margin": rep.margin,
+    }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, dict]:
     cfg = WedgeConfig(theta=_theta(args), alpha=args.alpha)
-    rho = args.rho if args.rho is not None else math.cos(cfg.theta) ** 2
+    rho = _rho(cfg, args)
     n_found, rep = verify_thm1(cfg, rho)
-    _emit(
-        {
-            "schema": SCHEMA_VERSION,
-            "command": "verify",
-            "inputs": {"theta": cfg.theta, "alpha": cfg.alpha, "rho": rho},
-            "results": {
-                "n_found": n_found,
-                "r_value": rep.r_value,
-                "quotient": rep.quotient,
-                "margin": rep.margin,
-                "negative_energy": rep.r_value < 0.0,
-            },
-        },
-        args.format,
-        args.out,
-    )
-    return 0
+    return {"theta": cfg.theta, "alpha": cfg.alpha, "rho": rho}, {
+        "n_found": n_found,
+        "r_value": rep.r_value,
+        "quotient": rep.quotient,
+        "margin": rep.margin,
+        "negative_energy": rep.r_value < 0.0,
+    }
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> tuple[dict, dict]:
     cfg = WedgeConfig(theta=_theta(args), alpha=args.alpha)
     params, rep = optimize_bound(cfg)
-    _emit(
-        {
-            "schema": SCHEMA_VERSION,
-            "command": "optimize",
-            "inputs": {"theta": cfg.theta, "alpha": cfg.alpha},
-            "results": {
-                "rho": params.rho,
-                "n": params.n,
-                "quotient": rep.quotient,
-                "margin": rep.margin,
-                "bound_thm2": -cfg.alpha**2 * (0.25 + lambda_upper(cfg.theta)),
-            },
-        },
-        args.format,
-        args.out,
-    )
-    return 0
+    return {"theta": cfg.theta, "alpha": cfg.alpha}, {
+        "rho": params.rho,
+        "n": params.n,
+        "quotient": rep.quotient,
+        "margin": rep.margin,
+        "bound_thm2": -cfg.alpha**2 * (0.25 + lambda_upper(cfg.theta)),
+    }
 
 
-def _run_solve(cfg: WedgeConfig, args):
-    L = args.box
-    h = args.spacing
-    if h is not None and L is not None:
-        # snap spacing so L/h is an integer, as the grid requires
-        h = L / max(64, round(L / h))
-    return solve(cfg, L=L, h=h)
-
-
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[dict, dict]:
     cfg = WedgeConfig(theta=_theta(args), alpha=args.alpha)
-    res = _run_solve(cfg, args)
-    _emit(
-        {
-            "schema": SCHEMA_VERSION,
-            "command": "solve",
-            "inputs": {
-                "theta": cfg.theta,
-                "alpha": cfg.alpha,
-                "box": res.grid.L,
-                "spacing": res.grid.h,
-            },
-            "results": {
-                "eigenvalue": res.eigenvalue,
-                "extrapolated": res.extrapolated,
-                "error_estimate": res.error_estimate,
-                "residual_norm": res.residual_norm,
-                "boundary_mass": res.boundary_mass,
-                "enlargements": res.enlargements,
-            },
-        },
-        args.format,
-        args.out,
-    )
-    return 0
+    res = solve(cfg, L=args.box, h=args.spacing)
+    return {"theta": cfg.theta, "alpha": cfg.alpha, "box": res.grid.L, "spacing": res.grid.h}, {
+        "eigenvalue": res.eigenvalue,
+        "extrapolated": res.extrapolated,
+        "error_estimate": res.error_estimate,
+        "residual_norm": res.residual_norm,
+        "boundary_mass": res.boundary_mass,
+        "enlargements": res.enlargements,
+    }
 
 
 def _sweep_row(theta: float, args) -> dict:
@@ -229,10 +160,10 @@ def _sweep_row(theta: float, args) -> dict:
         row["bound_optimized"] = rep.quotient
         status = "ok"
         if args.with_solver:
-            res = _run_solve(cfg, args)
-            row["lambda_fd"] = res.best
+            res = solve(cfg, L=args.box, h=args.spacing)
+            row["lambda_fd"] = res.extrapolated
             row["fd_error_budget"] = res.error_estimate
-            gap = -args.alpha**2 / 4.0 - res.best
+            gap = -args.alpha**2 / 4.0 - res.extrapolated
             if gap <= res.error_estimate:
                 status = "inconclusive"
         row["status"] = status
@@ -243,7 +174,7 @@ def _sweep_row(theta: float, args) -> dict:
     return row
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[dict, dict]:
     if args.theta_steps is None or args.theta_steps < 2:
         raise DomainError("--theta-steps must be at least 2")
     if args.theta_min is None or args.theta_max is None:
@@ -254,25 +185,14 @@ def cmd_sweep(args) -> int:
     if not lo < hi:
         raise DomainError("--theta-min must be below --theta-max")
     thetas = [lo + (hi - lo) * i / (args.theta_steps - 1) for i in range(args.theta_steps)]
-
-    rows = [_sweep_row(t, args) for t in thetas]
-    _emit(
-        {
-            "schema": SCHEMA_VERSION,
-            "command": "sweep",
-            "inputs": {
-                "theta_min": lo,
-                "theta_max": hi,
-                "theta_steps": args.theta_steps,
-                "alpha": args.alpha,
-                "with_solver": bool(args.with_solver),
-            },
-            "results": {"rows": rows},
-        },
-        args.format,
-        args.out,
-    )
-    return 0
+    inputs = {
+        "theta_min": lo,
+        "theta_max": hi,
+        "theta_steps": args.theta_steps,
+        "alpha": args.alpha,
+        "with_solver": bool(args.with_solver),
+    }
+    return inputs, {"rows": [_sweep_row(t, args) for t in thetas]}
 
 
 def _load_sweep_table(path: str) -> list[dict]:
@@ -285,7 +205,7 @@ def _load_sweep_table(path: str) -> list[dict]:
     return rows
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> tuple[dict, dict]:
     rows = _load_sweep_table(args.table)
     xs, ys = [], []
     for row in rows:
@@ -309,22 +229,12 @@ def cmd_fit(args) -> int:
         raise DomainError("degenerate table: theta values coincide")
     coeffs, residuals, *_ = np.polyfit(xs, ys, 1, full=True)
     rss = float(residuals[0]) if len(residuals) else 0.0
-    _emit(
-        {
-            "schema": SCHEMA_VERSION,
-            "command": "fit",
-            "inputs": {"side": args.side, "table": args.table, "rows_used": len(xs)},
-            "results": {
-                "slope": float(coeffs[0]),
-                "intercept": float(coeffs[1]),
-                "residual_rms": math.sqrt(rss / len(xs)),
-                "expected_slope": 4.0 if args.side == "pi_half" else 2.0 / 3.0,
-            },
-        },
-        args.format,
-        args.out,
-    )
-    return 0
+    return {"side": args.side, "table": args.table, "rows_used": len(xs)}, {
+        "slope": float(coeffs[0]),
+        "intercept": float(coeffs[1]),
+        "residual_rms": math.sqrt(rss / len(xs)),
+        "expected_slope": 4.0 if args.side == "pi_half" else 2.0 / 3.0,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,13 +301,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        inputs, results = args.func(args)
     except DomainError as exc:
         print(f"wedgebound: invalid input: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:
         print(f"wedgebound: numerical failure: {exc}", file=sys.stderr)
         return 2
+    report = {"schema": SCHEMA_VERSION, "command": args.command, "inputs": inputs,
+              "results": results}
+    _emit(report, args.format, args.out)
+    return 0
 
 
 def entry() -> None:

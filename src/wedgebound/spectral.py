@@ -12,13 +12,13 @@ symmetry of the assembled matrix.  The ground state of a reflection-symmetric
 operator is positive, hence even, so solve() restricts every grid level to
 the even subspace (about half the unknowns) and lifts the eigenvector back to
 the full grid.  Each shift of the shift-invert Lanczos iteration is
-factorized once, with a symmetric fill-reducing ordering, and the factor is
-reused for the residual polish.  The first level is solved at the shift
--2*alpha^2; every later level takes its shift from the eigenvalues already
-solved, just below the expected one, which cuts the Lanczos solves about
-threefold.  Because the matrix is a Z-matrix, each shift is certified to lie
-below the spectrum (an M-matrix test on one solve with its factor) before
-the iteration runs, so the eigenvalue found is the lowest one.
+factorized once, with a symmetric fill-reducing ordering.  The first level
+is solved at the shift -2*alpha^2; every later level takes its shift from
+the eigenvalues already solved, just below the expected one, which cuts the
+Lanczos solves about threefold.  Because the matrix is a Z-matrix, each
+shift is certified to lie below the spectrum (an M-matrix test on one solve
+with its factor) before the iteration runs, so the eigenvalue found is the
+lowest one.
 """
 
 from __future__ import annotations
@@ -98,12 +98,9 @@ class SpectralResult:
     enlargements: int = 0
     grid_eigenvalues: tuple[float, ...] | None = None
     #: the certified shift of the eigensolve, and the solves with its factor
+    #: (certificate and Lanczos)
     shift: float | None = None
     solves: int = 0
-
-    @property
-    def best(self) -> float:
-        return self.extrapolated if self.extrapolated is not None else self.eigenvalue
 
 
 def dirichlet_laplacian(grid: GridSpec) -> sp.csr_matrix:
@@ -188,9 +185,10 @@ def lowest_eigenvalue(
     H must be a symmetric Z-matrix (no positive off-diagonal entry), as
     every matrix ``assemble`` builds and its even reduction are.  Each shift
     is factorized once, and the factor certifies that the shift lies below
-    the spectrum (see ``_certified_factor``), drives the Lanczos iteration
-    and polishes the residual.  A shift that fails its certificate, or whose
-    factorization or iteration fails, is lowered and retried.  The result
+    the spectrum (see ``_certified_factor``) and drives the Lanczos
+    iteration.  A shift that fails its certificate, or whose factorization
+    or iteration fails, is lowered and retried.  A residual above
+    ``RESIDUAL_LIMIT`` * |eigenvalue| raises ConvergenceError.  The result
     records the certified shift and the solves made with its factor.
     Deterministic (fixed start vector).
     """
@@ -204,7 +202,11 @@ def lowest_eigenvalue(
     last_exc: RuntimeError | None = None
     for _ in range(MAX_SHIFT_RETRIES + 1):
         try:
-            lam, v, factor = _lanczos(H, sigma, v0)
+            factor = _certified_factor(H, sigma)
+            op = LinearOperator(H.shape, matvec=factor.solve, dtype=H.dtype)
+            vals, vecs = eigsh(
+                H, k=1, sigma=sigma, which="LM", tol=EIG_TOL, v0=v0, OPinv=op
+            )
         except RuntimeError as exc:
             # the shift failed its certificate (ConvergenceError), ArpackError
             # (ArpackNoConvergence included) or SuperLU's "factor is exactly
@@ -213,9 +215,8 @@ def lowest_eigenvalue(
             last_exc = exc
             sigma = min(4.0 * sigma - 1.0, sigma - 1.0)
             continue
+        lam, v = float(vals[0]), vecs[:, 0]
         res = _residual(H, lam, v)
-        if res > RESIDUAL_LIMIT * abs(lam):
-            lam, v, res = _polish(H, factor, v)
         if res > RESIDUAL_LIMIT * abs(lam):
             raise ConvergenceError(
                 f"eigen residual {res} exceeds {RESIDUAL_LIMIT}*|eigenvalue|"
@@ -271,27 +272,6 @@ def _certified_factor(H: sp.spmatrix, sigma: float) -> _Factor:
     if not (np.all(x > 0.0) and np.all(Ax > slack)):
         raise ConvergenceError(f"shift {sigma} is not certified below the spectrum")
     return factor
-
-
-def _lanczos(H: sp.spmatrix, sigma: float, v0: np.ndarray):
-    """One shift-invert eigsh run at a certified shift: the lowest eigenpair
-    (the one nearest sigma) and the factor of H - sigma*I that it used."""
-    factor = _certified_factor(H, sigma)
-    op = LinearOperator(H.shape, matvec=factor.solve, dtype=H.dtype)
-    vals, vecs = eigsh(H, k=1, sigma=sigma, which="LM", tol=EIG_TOL, v0=v0, OPinv=op)
-    return float(vals[0]), vecs[:, 0], factor
-
-
-def _polish(H: sp.spmatrix, factor: _Factor, v: np.ndarray):
-    """A few inverse-iteration steps on the shift's factor to tighten the residual."""
-    for _ in range(5):
-        v = factor.solve(v)
-        v /= np.linalg.norm(v)
-        lam = float(v @ (H @ v))
-        res = _residual(H, lam, v)
-        if res <= RESIDUAL_LIMIT * abs(lam):
-            break
-    return lam, v, res
 
 
 def _even_isometry(m: int) -> sp.csr_matrix:
@@ -377,13 +357,15 @@ def solve(
     """Extrapolated ground eigenvalue from the grid sequence h, h/2, h/4.
 
     Starts from L = max(8/alpha, 12), coarse spacing L/128 (so the finest
-    grid is L/512, about a million nodes).  Every level is solved on the
-    even subspace of the y -> -y reflection (about half a million unknowns on
-    the finest grid) with one factorization per shift, and its eigenvector
-    is lifted back to the full grid.  The first solve uses the shift
-    -2*alpha^2 and every later one, coarse re-solves after an enlargement
-    included, ``_next_shift`` of the eigenvalues solved before it;
-    ``lowest_eigenvalue`` certifies each shift below the spectrum.  If the
+    grid is L/512, about a million nodes).  A given spacing h is snapped to
+    L/max(64, round(L/h)), so that L/h is an integer >= 64 as ``GridSpec``
+    requires.  Every level is solved on the even subspace of the y -> -y
+    reflection (about half a million unknowns on the finest grid) with one
+    factorization per shift, and its eigenvector is lifted back to the full
+    grid.  The first solve uses the shift -2*alpha^2 and every later one,
+    coarse re-solves after an enlargement included, ``_next_shift`` of the
+    eigenvalues solved before it; ``lowest_eigenvalue`` certifies each shift
+    below the spectrum.  If the
     coarse eigenfunction leaves more than 1e-10 of its mass within one
     spacing of the boundary, the box is doubled (unknown count kept) and the
     solve repeats, at most ``max_enlargements`` times; near theta = pi/2 the
@@ -392,8 +374,7 @@ def solve(
     """
     if L is None:
         L = max(8.0 / cfg.alpha, 12.0)
-    if h is None:
-        h = L / 128.0
+    h = L / (128 if h is None else max(64, round(L / h)))
     shift = -2.0 * cfg.alpha**2
     grid = GridSpec(L, h)
     solved: list[float] = []  # every eigenvalue so far, in solve order

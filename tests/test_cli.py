@@ -147,6 +147,14 @@ class TestSolve:
         ratio = inputs["box"] / inputs["spacing"]
         assert ratio == pytest.approx(round(ratio))
 
+    def test_spacing_alone_snaps_to_grid(self, capsys):
+        # the default box is snapped to as when --box is given
+        code, out, _ = run(capsys, "solve", "--theta", repr(PI_4), "--spacing", "0.19")
+        assert code == 0
+        inputs = json.loads(out)["inputs"]
+        ratio = inputs["box"] / inputs["spacing"]
+        assert ratio == round(ratio)
+
 
 class TestSweep:
     def test_csv_columns_and_ordering(self, capsys):
@@ -267,3 +275,132 @@ class TestFit:
         path.write_text("theta,alpha\n1.1,1.0\n")
         code, _, _ = run(capsys, "fit", str(path), "--side", "pi_half")
         assert code == 1
+
+
+# argv after the subcommand (fit also gets a sweep table first), then the
+# pinned inputs and results keys of its report
+CONTRACT = {
+    "bound": (
+        ["--theta", "0.7"],
+        ["theta", "alpha"],
+        ["a", "b", "c", "B", "n_opt", "capital_lambda", "lambda_upper_bound"],
+    ),
+    "rayleigh": (
+        ["--theta", "0.7"],
+        ["theta", "alpha", "rho", "n"],
+        ["r_value", "norm_sq", "quotient", "margin"],
+    ),
+    "verify": (
+        ["--theta", "0.9"],
+        ["theta", "alpha", "rho"],
+        ["n_found", "r_value", "quotient", "margin", "negative_energy"],
+    ),
+    "optimize": (
+        ["--theta", "0.7"],
+        ["theta", "alpha"],
+        ["rho", "n", "quotient", "margin", "bound_thm2"],
+    ),
+    "solve": (
+        ["--theta", "0.6", "--box", "48", "--spacing", "0.75"],
+        ["theta", "alpha", "box", "spacing"],
+        ["eigenvalue", "extrapolated", "error_estimate", "residual_norm",
+         "boundary_mass", "enlargements"],
+    ),
+    "sweep": (
+        ["--theta-min", "0.5", "--theta-max", "0.9", "--theta-steps", "2"],
+        ["theta_min", "theta_max", "theta_steps", "alpha", "with_solver"],
+        ["rows"],
+    ),
+    "fit": (
+        ["--side", "pi_half"],
+        ["side", "table", "rows_used"],
+        ["slope", "intercept", "residual_rms", "expected_slope"],
+    ),
+}
+
+# recorded from the closed forms; they must stay bitwise
+BOUND_PI_4_JSON = """\
+{
+  "schema": 1,
+  "command": "bound",
+  "inputs": {
+    "theta": 0.7853981633974483,
+    "alpha": 1.0
+  },
+  "results": {
+    "a": 0.25000000000000017,
+    "b": 9.461805555555557,
+    "c": 12.0,
+    "B": 170.3125,
+    "n_opt": 75.6944444444444,
+    "capital_lambda": 0.00013761467889908272,
+    "lambda_upper_bound": -0.25013761467889906
+  }
+}
+"""
+
+
+def csv_cell(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    return "" if value is None else str(value)
+
+
+class TestReportContract:
+    @pytest.fixture(params=list(CONTRACT))
+    def command(self, request, tmp_path):
+        name = request.param
+        args, inputs, results = CONTRACT[name]
+        if name == "fit":
+            table = tmp_path / "table.csv"
+            synthetic_sweep_csv(table, [1.1, 1.2, 1.3], lambda t: 0.01 * (math.pi / 2.0 - t) ** 4)
+            args = [str(table), *args]
+        return name, [name, *args], inputs, results
+
+    def test_json_envelope(self, capsys, command):
+        name, argv, inputs, results = command
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert out == json.dumps(report, indent=2) + "\n"
+        assert list(report) == ["schema", "command", "inputs", "results"]
+        assert (report["schema"], report["command"]) == (1, name)
+        assert list(report["inputs"]) == inputs
+        assert list(report["results"]) == results
+
+    def test_csv_is_the_report(self, capsys, command):
+        name, argv, _, _ = command
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        report = json.loads(out)
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, err) == (0, "")
+        if name == "sweep":
+            rows = report["results"]["rows"]
+            assert list(rows[0]) == SWEEP_COLUMNS
+        else:
+            rows = [{**report["inputs"], **report["results"]}]
+        lines = [",".join(rows[0])] + [",".join(csv_cell(v) for v in r.values()) for r in rows]
+        assert out == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_file_matches_stdout(self, capsys, tmp_path, command, fmt):
+        _, argv, _, _ = command
+        code, printed, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        path = tmp_path / "report.out"
+        code, silent, err = run(capsys, *argv, "--format", fmt, "--out", str(path))
+        assert (code, silent, err) == (0, "", "")
+        assert path.read_bytes() == printed.encode("utf-8")
+
+    def test_closed_form_bytes(self, capsys):
+        code, out, _ = run(capsys, "bound", "--theta", "0.7853981633974483")
+        assert code == 0
+        assert out == BOUND_PI_4_JSON
+
+    @pytest.mark.parametrize("argv", [["bound", "--theta", "2.0"], ["bound"]])
+    def test_failure_writes_nothing(self, capsys, tmp_path, argv):
+        path = tmp_path / "report.out"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("wedgebound: invalid input: ")
+        assert not path.exists()

@@ -263,3 +263,12 @@ class TestSolverFailures:
         monkeypatch.setattr(spectral, "eigsh", bug)
         with pytest.raises(TypeError):
             lowest_eigenvalue(H, shift=-2.0)
+
+    def test_inaccurate_eigenvector_is_convergence_error(self, H, monkeypatch):
+        def perturbed(*args, **kwargs):
+            vals, vecs = eigsh(*args, **kwargs)
+            return vals, vecs + 1e-3
+
+        monkeypatch.setattr(spectral, "eigsh", perturbed)
+        with pytest.raises(ConvergenceError, match="residual"):
+            lowest_eigenvalue(H, shift=-2.0)
