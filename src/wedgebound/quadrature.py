@@ -20,21 +20,19 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .trial import DomainError, WedgeConfig, log_profile_F
+from .trial import DomainError, WedgeConfig, _check_rho, log_profile_F
 
 __all__ = [
     "ConvergenceError",
     "QuadratureEstimate",
     "integrate",
     "quad_J",
-    "DEFAULT_ABS_TOL",
-    "DEFAULT_REL_TOL",
-    "DEFAULT_BUDGET",
 ]
 
-DEFAULT_ABS_TOL = 1e-13
-DEFAULT_REL_TOL = 1e-11
-DEFAULT_BUDGET = 10**6
+#: integrate's error tolerances and evaluation budget, read at each call
+ABS_TOL = 1e-13
+REL_TOL = 1e-11
+BUDGET = 10**6
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _K = _GL_X.size
@@ -88,10 +86,7 @@ def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
     breakpoints: Iterable[float] = (),
-    budget: int = DEFAULT_BUDGET,
 ) -> QuadratureEstimate:
     """Integrate ``f`` over (lo, hi), either endpoint possibly infinite.
 
@@ -100,11 +95,11 @@ def integrate(
     strictly inside the interval split it into panels that are refined
     independently, so kinks never sit inside a panel.  All components share
     one refinement tree: a panel is bisected while any component's error
-    estimate on it exceeds its share of ``abs_tol + rel_tol * (integral of
+    estimate on it exceeds its share of ``ABS_TOL + REL_TOL * (integral of
     |f_k|)``.  ``value`` and ``abs_error_estimate`` are floats for a scalar
     integrand and arrays of k entries for a stack; ``evaluations`` counts
     abscissae, not component values.  The estimate has converged when
-    refinement ended within ``budget`` evaluations and every component's
+    refinement ended within ``BUDGET`` evaluations and every component's
     summed error estimate is within its tolerance.
 
     The integrand must be smooth on each panel.  The tolerance share of a
@@ -114,8 +109,6 @@ def integrate(
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi, got lo={lo}, hi={hi}")
-    if not (abs_tol > 0.0 and rel_tol > 0.0):
-        raise DomainError("tolerances must be positive")
 
     pts = sorted(p for p in breakpoints if lo < p < hi)
     if not pts and math.isinf(lo) and math.isinf(hi):
@@ -148,8 +141,8 @@ def integrate(
         l1 = np.abs(fx[..., : 2 * _K]).sum(axis=-1)
         panel_err = np.abs(whole - (left + right))
         # a panel splits while any component misses its share; NaN splits too
-        split = ~(panel_err <= share * abs_tol + rel_tol * l1).all(axis=0)
-        if evaluations + 4 * _K * np.count_nonzero(split) > budget:
+        split = ~(panel_err <= share * ABS_TOL + REL_TOL * l1).all(axis=0)
+        if evaluations + 4 * _K * np.count_nonzero(split) > BUDGET:
             ok = False
             split[:] = False
         keep = ~split
@@ -166,7 +159,7 @@ def integrate(
         share = np.tile(share[split] / 2.0, 2)
         whole = np.concatenate([left[:, split], right[:, split]], axis=-1)
 
-    converged = ok and bool(np.all(err <= abs_tol + rel_tol * l1_mass))
+    converged = ok and bool(np.all(err <= ABS_TOL + REL_TOL * l1_mass))
     if not stacked:
         value, err = float(value[0]), float(err[0])
     return QuadratureEstimate(
@@ -182,10 +175,7 @@ def quad_J(cfg: WedgeConfig, rho: float) -> QuadratureEstimate:
 
     Cross-checks the closed form (2^(2*rho)-1) / (rho*(2*rho+1)*tan(theta)*alpha^(2*rho)).
     """
-    if not 0.0 < rho < cfg.cot_sq_theta:
-        raise DomainError(
-            f"rho must lie in (0, cot^2 theta) = (0, {cfg.cot_sq_theta}), got {rho}"
-        )
+    _check_rho(cfg, rho)
     tan_t = cfg.tan_theta
     alpha = cfg.alpha
     power = 2.0 * rho - 1.0

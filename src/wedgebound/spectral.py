@@ -7,12 +7,14 @@ bilinear interpolation, which keeps the matrix symmetric.  Because the
 interpolation cells straddle the eigenfunction's normal-derivative cusp,
 the eigenvalue error is first order in h with a second-order tail; solve()
 removes both terms by fitting over three grids.  The wedge bisector lies along the x-axis,
-rays at angles +/-theta, so the grid reflection y -> -y is an exact
-symmetry of the assembled matrix.  The ground state of a reflection-symmetric
-operator is positive, hence even, so solve() restricts every grid level to
-the even subspace (about half the unknowns) and lifts the eigenvector back to
-the full grid.  Each shift of the shift-invert Lanczos iteration is
-factorized once, with a symmetric fill-reducing ordering.  The first level
+rays at angles +/-theta, so the grid reflection y -> -y is a symmetry of the
+assembled matrix, exact up to rounding: the -theta ray's stencil weights are
+rounded on their own.  The ground state of a reflection-symmetric operator is
+positive, hence even, so solve() restricts every grid level to the even
+subspace (about half the unknowns), lifts the eigenvector back to the full
+grid and takes its residual again against the full matrix.  Each shift of
+the shift-invert Lanczos iteration is factorized once, with a symmetric
+fill-reducing ordering.  The first level
 is solved at the shift -2*alpha^2; every later level takes its shift from
 the eigenvalues already solved, just below the expected one, which cuts the
 Lanczos solves about threefold.  Because the matrix is a Z-matrix, each
@@ -51,6 +53,8 @@ RESIDUAL_LIMIT = 1e-8
 #: certificate below the spectrum (or whose solve fails) is lowered and retried.
 EIG_TOL = 1e-12
 MAX_SHIFT_RETRIES = 4
+#: solve()'s cap on box doublings, read at each call
+MAX_ENLARGEMENTS = 2
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,7 @@ class GridSpec:
     h: float
 
     def __post_init__(self) -> None:
-        if not (self.L > 0.0 and self.h > 0.0):
-            raise DomainError("L and h must be positive")
+        _check_box(self.L, self.h)
         ratio = self.L / self.h
         if abs(ratio - round(ratio)) > 1e-9 * ratio or round(ratio) < 64:
             raise DomainError(
@@ -86,11 +89,16 @@ class GridSpec:
         return GridSpec(2.0 * self.L, 2.0 * self.h)
 
 
+def _check_box(L: float | None, h: float | None) -> None:
+    if not all(0.0 < x < math.inf for x in (L, h) if x is not None):
+        raise DomainError(f"L and h must be positive and finite, got L={L}, h={h}")
+
+
 @dataclass
 class SpectralResult:
     eigenvalue: float
     residual_norm: float
-    grid: GridSpec
+    grid: GridSpec | None  # None from lowest_eigenvalue, which sees only H
     eigenvector: np.ndarray | None = field(default=None, repr=False)
     extrapolated: float | None = None
     error_estimate: float | None = None
@@ -177,9 +185,7 @@ def _residual(H: sp.spmatrix, lam: float, v: np.ndarray) -> float:
     return float(np.linalg.norm(H @ v - lam * v) / np.linalg.norm(v))
 
 
-def lowest_eigenvalue(
-    H: sp.spmatrix, shift: float, grid: GridSpec | None = None
-) -> SpectralResult:
+def lowest_eigenvalue(H: sp.spmatrix, shift: float) -> SpectralResult:
     """Smallest eigenvalue by shift-and-invert Lanczos iteration.
 
     H must be a symmetric Z-matrix (no positive off-diagonal entry), as
@@ -226,7 +232,7 @@ def lowest_eigenvalue(
         return SpectralResult(
             eigenvalue=lam,
             residual_norm=res,
-            grid=grid,
+            grid=None,
             eigenvector=v,
             shift=sigma,
             solves=factor.solves,
@@ -300,7 +306,8 @@ def _solve_level(cfg: WedgeConfig, grid: GridSpec, shift: float) -> SpectralResu
     H = assemble(cfg, grid)
     P = _even_isometry(grid.n_interior)
     R = P.T @ H @ P
-    result = lowest_eigenvalue(((R + R.T) * 0.5).tocsr(), shift=shift, grid=grid)
+    result = lowest_eigenvalue(((R + R.T) * 0.5).tocsr(), shift=shift)
+    result.grid = grid
     result.eigenvector = P @ result.eigenvector
     result.residual_norm = _residual(H, result.eigenvalue, result.eigenvector)
     return result
@@ -352,15 +359,15 @@ def solve(
     cfg: WedgeConfig,
     L: float | None = None,
     h: float | None = None,
-    max_enlargements: int = 2,
 ) -> SpectralResult:
     """Extrapolated ground eigenvalue from the grid sequence h, h/2, h/4.
 
     Starts from L = max(8/alpha, 12), coarse spacing L/128 (so the finest
-    grid is L/512, about a million nodes).  A given spacing h is snapped to
-    L/max(64, round(L/h)), so that L/h is an integer >= 64 as ``GridSpec``
-    requires.  Every level is solved on the even subspace of the y -> -y
-    reflection (about half a million unknowns on the finest grid) with one
+    grid is L/512, about a million nodes).  A given L and h must be positive
+    and finite; h is snapped to L/max(64, round(L/h)), so that L/h is an
+    integer >= 64 as ``GridSpec`` requires.  Every level is solved on the
+    even subspace of the y -> -y reflection (about half a million unknowns
+    on the finest grid) with one
     factorization per shift, and its eigenvector is lifted back to the full
     grid.  The first solve uses the shift -2*alpha^2 and every later one,
     coarse re-solves after an enlargement included, ``_next_shift`` of the
@@ -368,10 +375,11 @@ def solve(
     below the spectrum.  If the
     coarse eigenfunction leaves more than 1e-10 of its mass within one
     spacing of the boundary, the box is doubled (unknown count kept) and the
-    solve repeats, at most ``max_enlargements`` times; near theta = pi/2 the
+    solve repeats, at most ``MAX_ENLARGEMENTS`` times; near theta = pi/2 the
     extended state along the line keeps some mass at the boundary at any box
     size, so the cap is a hard stop.
     """
+    _check_box(L, h)
     if L is None:
         L = max(8.0 / cfg.alpha, 12.0)
     h = L / (128 if h is None else max(64, round(L / h)))
@@ -385,7 +393,7 @@ def solve(
         solved.append(result.eigenvalue)
         shift = _next_shift(solved)
         mass = _boundary_mass(result.eigenvector, grid.n_interior)
-        if mass <= BOUNDARY_MASS_LIMIT or enlargements >= max_enlargements:
+        if mass <= BOUNDARY_MASS_LIMIT or enlargements >= MAX_ENLARGEMENTS:
             break
         grid = grid.enlarged()
         enlargements += 1

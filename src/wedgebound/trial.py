@@ -50,6 +50,8 @@ class WedgeConfig:
             raise DomainError(f"theta must lie in (0, pi/2], got {self.theta}")
         if not self.alpha > 0.0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
+        if math.isinf(self.alpha):
+            raise DomainError(f"alpha must be finite, got {self.alpha}")
 
     @property
     def tan_theta(self) -> float:
@@ -77,11 +79,15 @@ class TrialParams:
 
     def check(self, cfg: WedgeConfig) -> None:
         """Enforce the config-dependent constraint rho < cot^2(theta)."""
-        bound = cfg.cot_sq_theta
-        if not self.rho < bound:
-            raise DomainError(
-                f"rho must lie in (0, cot^2 theta) = (0, {bound}), got {self.rho}"
-            )
+        _check_rho(cfg, self.rho)
+
+
+def _check_rho(cfg: WedgeConfig, rho: float) -> None:
+    """Raise DomainError unless 0 < rho < cot^2(theta)."""
+    if not 0.0 < rho < cfg.cot_sq_theta:
+        raise DomainError(
+            f"rho must lie in (0, cot^2 theta) = (0, {cfg.cot_sq_theta}), got {rho}"
+        )
 
 
 @dataclass(frozen=True)
@@ -180,10 +186,7 @@ def closed_R(cfg: WedgeConfig, rho: float) -> float:
 
 def closed_J(cfg: WedgeConfig, rho: float) -> float:
     """Closed form of the weighted profile integral checked by quad_J."""
-    if not 0.0 < rho < cfg.cot_sq_theta:
-        raise DomainError(
-            f"rho must lie in (0, cot^2 theta) = (0, {cfg.cot_sq_theta}), got {rho}"
-        )
+    _check_rho(cfg, rho)
     return _two_pow_minus_one(2.0 * rho) / (
         rho * (2.0 * rho + 1.0) * cfg.tan_theta * cfg.alpha ** (2.0 * rho)
     )

@@ -21,13 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .quadrature import integrate
-from .trial import (
-    DomainError,
-    TrialParams,
-    WedgeConfig,
-    bound_constants,
-    log_profile_F,
-)
+from .trial import TrialParams, WedgeConfig, _check_rho, bound_constants, log_profile_F
 
 __all__ = [
     "RayleighReport",
@@ -43,7 +37,7 @@ N_MAX_SCALE = 1e4
 #: verify_thm1 gives up after this many doublings of the cutoff scale.
 MAX_DOUBLINGS = 60
 #: optimize_bound's cap on coordinate-descent sweeps, and its relative
-#: tolerance for both the line searches and the per-sweep gain.
+#: tolerance for both golden_section's line searches and the per-sweep gain.
 MAX_SWEEPS = 30
 OPT_REL_TOL = 1e-6
 #: golden_section's iteration cap.
@@ -133,10 +127,7 @@ def verify_thm1(cfg: WedgeConfig, rho: float) -> tuple[float, RayleighReport]:
     Starts at the natural transition length 1/(alpha*tan(theta)); guaranteed
     to succeed for admissible rho, so exhaustion indicates a bug.
     """
-    if not 0.0 < rho < cfg.cot_sq_theta:
-        raise DomainError(
-            f"rho must lie in (0, cot^2 theta) = (0, {cfg.cot_sq_theta}), got {rho}"
-        )
+    _check_rho(cfg, rho)
     n = 1.0 / (cfg.alpha * cfg.tan_theta)
     for _ in range(MAX_DOUBLINGS + 1):
         report = rayleigh(cfg, TrialParams(rho=rho, n=n))
@@ -152,15 +143,17 @@ def golden_section(
     f: Callable[[float], float],
     a: float,
     b: float,
-    rel_tol: float = 1e-6,
 ) -> tuple[float, float]:
-    """Minimize a unimodal function on [a, b]; returns (x_min, f(x_min))."""
+    """Minimize a unimodal function on [a, b]; returns (x_min, f(x_min)).
+
+    Stops at a bracket of ``OPT_REL_TOL`` * (|a| + |b|), read at each call.
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(GOLDEN_MAX_ITER):
-        if abs(b - a) <= rel_tol * (abs(a) + abs(b)):
+        if abs(b - a) <= OPT_REL_TOL * (abs(a) + abs(b)):
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -196,7 +189,7 @@ def optimize_bound(cfg: WedgeConfig) -> tuple[TrialParams, RayleighReport]:
     best = (rho, n)
     for _ in range(MAX_SWEEPS):
         prev_q = best_q
-        rho, q = golden_section(lambda r: quotient(r, best[1]), rho_lo, rho_hi, OPT_REL_TOL)
+        rho, q = golden_section(lambda r: quotient(r, best[1]), rho_lo, rho_hi)
         if q < best_q:
             best_q, best = q, (rho, best[1])
         # search over log(n): the optimum scale spans orders of magnitude
@@ -204,7 +197,6 @@ def optimize_bound(cfg: WedgeConfig) -> tuple[TrialParams, RayleighReport]:
             lambda t: quotient(best[0], math.exp(t)),
             math.log(n_lo),
             math.log(n_hi),
-            OPT_REL_TOL,
         )
         if q < best_q:
             best_q, best = q, (best[0], math.exp(s))

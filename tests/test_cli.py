@@ -215,6 +215,38 @@ class TestSweep:
         assert code == 1
 
 
+class TestInvalidNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--theta", "0.7", "--box", "12", "--spacing", "0"],
+            ["solve", "--theta", "0.7", "--box", "12", "--spacing", "nan"],
+            ["solve", "--theta", "0.7", "--box", "12", "--spacing", "-1"],
+            ["solve", "--theta", "0.7", "--box", "12", "--spacing", "inf"],
+            ["solve", "--theta", "0.7", "--box", "inf"],
+            ["solve", "--theta", "0.7", "--box", "inf", "--spacing", "0.1875"],
+            ["bound", "--theta", "0.7", "--alpha", "inf"],
+            ["rayleigh", "--theta", "0.7", "--alpha", "inf"],
+        ],
+    )
+    def test_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("wedgebound: invalid input: ")
+
+    def test_sweep_rows_report_bad_spacing(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "sweep", "--theta-min", "0.5", "--theta-max", "0.9", "--theta-steps", "2",
+            "--with-solver", "--box", "12", "--spacing", "0",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 2
+        assert all(r["status"].startswith("error: ") for r in rows)
+
+
 def synthetic_sweep_csv(path, thetas, mu_of_theta, alpha=1.0):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)

@@ -25,6 +25,7 @@ from wedgebound.spectral import (
     _has_positive_off_diagonal,
     _next_shift,
     _residual,
+    _solve_level,
     delta_line_matrix,
     dirichlet_laplacian,
 )
@@ -62,7 +63,7 @@ class TestGridSpec:
 class TestAssemble:
     def test_laplacian_ground_state(self):
         g = GridSpec(L=8.0, h=8.0 / 64)
-        res = lowest_eigenvalue(dirichlet_laplacian(g), shift=-0.5, grid=g)
+        res = lowest_eigenvalue(dirichlet_laplacian(g), shift=-0.5)
         assert res.eigenvalue == pytest.approx(2.0 * (math.pi / 16.0) ** 2, rel=1e-3)
         assert res.eigenvalue > 0.0
 
@@ -107,13 +108,13 @@ class TestAssemble:
 class TestLowestEigenvalue:
     def test_residual_small(self):
         g = GridSpec(12.0, 12.0 / 128)
-        res = lowest_eigenvalue(assemble(WedgeConfig(PI_4, 1.0), g), shift=-2.0, grid=g)
+        res = lowest_eigenvalue(assemble(WedgeConfig(PI_4, 1.0), g), shift=-2.0)
         assert res.residual_norm <= 1e-8 * abs(res.eigenvalue)
         assert res.eigenvalue < -0.25
 
     def test_mirror_symmetric_ground_state(self):
         g = GridSpec(12.0, 12.0 / 128)
-        res = lowest_eigenvalue(assemble(WedgeConfig(0.8, 1.0), g), shift=-2.0, grid=g)
+        res = lowest_eigenvalue(assemble(WedgeConfig(0.8, 1.0), g), shift=-2.0)
         v = res.eigenvector
         P = reflection(g.n_interior)
         assert np.linalg.norm(v - P @ v) <= 1e-6 * np.linalg.norm(v)
@@ -121,8 +122,8 @@ class TestLowestEigenvalue:
     def test_deterministic(self):
         g = GridSpec(12.0, 12.0 / 64)
         H = assemble(WedgeConfig(0.8, 1.0), g)
-        r1 = lowest_eigenvalue(H, shift=-2.0, grid=g)
-        r2 = lowest_eigenvalue(H, shift=-2.0, grid=g)
+        r1 = lowest_eigenvalue(H, shift=-2.0)
+        r2 = lowest_eigenvalue(H, shift=-2.0)
         assert r1.eigenvalue == r2.eigenvalue
 
     @pytest.fixture(scope="class")
@@ -136,7 +137,7 @@ class TestLowestEigenvalue:
     def test_bad_shift_recovers(self, spectrum):
         # a shift above the lowest eigenvalue must be detected and lowered
         H, g, (lam0, lam1) = spectrum
-        res = lowest_eigenvalue(H, shift=lam0 + 0.25 * (lam1 - lam0), grid=g)
+        res = lowest_eigenvalue(H, shift=lam0 + 0.25 * (lam1 - lam0))
         assert res.eigenvalue == pytest.approx(lam0, rel=1e-9, abs=0.0)
         assert res.shift < lam0
 
@@ -144,7 +145,7 @@ class TestLowestEigenvalue:
         # Lanczos converges to the eigenvalue nearest the shift, lambda_1
         # here, which lies above the shift: only the certificate rejects it
         H, g, (lam0, lam1) = spectrum
-        res = lowest_eigenvalue(H, shift=lam0 + 0.75 * (lam1 - lam0), grid=g)
+        res = lowest_eigenvalue(H, shift=lam0 + 0.75 * (lam1 - lam0))
         assert res.eigenvalue == pytest.approx(lam0, rel=1e-9, abs=0.0)
         assert res.shift < lam0
 
@@ -153,7 +154,7 @@ class TestLowestEigenvalue:
         H = assemble(WedgeConfig(PI_4, 1.0), g).tolil()
         H[0, 1] = H[1, 0] = 1e-3
         with pytest.raises(DomainError):
-            lowest_eigenvalue(H.tocsr(), shift=-2.0, grid=g)
+            lowest_eigenvalue(H.tocsr(), shift=-2.0)
 
     def test_previous_level_shift_saves_solves(self):
         cfg = WedgeConfig(PI_4, 1.0)
@@ -181,7 +182,9 @@ class TestDeltaWell1D:
 @pytest.fixture(scope="module")
 def quarter():
     # small grids keep this test affordable; acceptance runs defaults
-    return solve(WedgeConfig(PI_4, 1.0), L=12.0, h=12.0 / 96, max_enlargements=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "MAX_ENLARGEMENTS", 0)
+        return solve(WedgeConfig(PI_4, 1.0), L=12.0, h=12.0 / 96)
 
 
 class TestSolve:
@@ -216,22 +219,36 @@ class TestEvenSubspace:
     def reduced(self):
         cfg = WedgeConfig(PI_4, 1.0)
         g = GridSpec(12.0, 12.0 / 64)
-        return cfg, g, solve(cfg, L=g.L, h=g.h, max_enlargements=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "MAX_ENLARGEMENTS", 0)
+            return cfg, g, solve(cfg, L=g.L, h=g.h)
 
-    def test_matches_full_grid(self):
+    def test_matches_full_grid(self, monkeypatch):
         # adaptive shifts on the even subspace against the fixed shift
         # -2*alpha^2 on the full grid
+        monkeypatch.setattr(spectral, "MAX_ENLARGEMENTS", 0)
         for theta, alpha in itertools.product((0.3, PI_4, 1.3), (1.0, 2.0)):
             cfg = WedgeConfig(theta, alpha)
             g = GridSpec(12.0, 12.0 / 64)
-            res = solve(cfg, L=g.L, h=g.h, max_enlargements=0)
+            res = solve(cfg, L=g.L, h=g.h)
             for lam in res.grid_eigenvalues:
                 H = assemble(cfg, g)
-                full = lowest_eigenvalue(H, shift=-2.0 * alpha**2, grid=g)
+                full = lowest_eigenvalue(H, shift=-2.0 * alpha**2)
                 assert lam == pytest.approx(full.eigenvalue, rel=1e-9, abs=0.0), (
                     theta, alpha, g
                 )
                 g = g.refined()
+
+    @given(theta=st.floats(0.2, 1.5), alpha=st.floats(0.5, 3.0))
+    @settings(max_examples=15, deadline=None)
+    def test_ground_state_is_even(self, theta, alpha):
+        # the even subspace holds the lowest eigenvalue of the full grid
+        cfg = WedgeConfig(theta, alpha)
+        L = 8.0 / alpha
+        g = GridSpec(L, L / 64)
+        even = _solve_level(cfg, g, -2.0 * alpha**2)
+        full = lowest_eigenvalue(assemble(cfg, g), -2.0 * alpha**2)
+        assert even.eigenvalue == pytest.approx(full.eigenvalue, rel=1e-9, abs=0.0)
 
     def test_lifted_eigenvector(self, reduced):
         cfg, _, res = reduced
