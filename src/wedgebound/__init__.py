@@ -13,8 +13,8 @@ from .trial import (
     lambda_upper,
     profile_F,
 )
-from .quadrature import ConvergenceError, QuadratureEstimate, integrate, quad_J
-from .variational import RayleighReport, optimize_bound, rayleigh, verify_thm1
+from .quadrature import ConvergenceError, QuadratureEstimate, integrate
+from .variational import RayleighReport, optimize_bound, quad_J, rayleigh, verify_thm1
 from .spectral import (
     GridSpec,
     SpectralResult,

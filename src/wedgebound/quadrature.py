@@ -1,12 +1,11 @@
-"""Adaptive 1D quadrature for exponentially decaying integrands.
+"""Adaptive 1D quadrature on finite intervals.
 
 A vectorized adaptive panel Gauss-Legendre rule.  Breakpoints split the
 interval into panels, so callers list interior kink abscissae as
-breakpoints and a kink never sits inside a panel.  An infinite end is
-mapped onto [0, 1) by x = a + s/(1-s) (or x = b - s/(1-s)).  Each panel's
-error estimate is the difference between the 10-point rule on the whole
-panel and on its two halves; a panel whose estimate exceeds its share of
-the tolerance is bisected.  Integrands take an array of abscissae and are
+breakpoints and a kink never sits inside a panel.  Each panel's error
+estimate is the difference between the 10-point rule on the whole panel and
+on its two halves; a panel whose estimate exceeds its share of the
+tolerance is bisected.  Integrands take an array of abscissae and are
 called once per refinement round with the nodes of every active panel.  An
 integrand may return a stack of components; they share one refinement tree,
 so integrals of the same profile cost one evaluation of it.
@@ -14,19 +13,17 @@ so integrals of the same profile cost one evaluation of it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .trial import DomainError, WedgeConfig, _check_rho, log_profile_F
+from .trial import DomainError
 
 __all__ = [
     "ConvergenceError",
     "QuadratureEstimate",
     "integrate",
-    "quad_J",
 ]
 
 #: integrate's error tolerances and evaluation budget, read at each call
@@ -67,28 +64,13 @@ class QuadratureEstimate:
         return self.value
 
 
-def _rule_terms(f, u0, width, anchor, direction, unit_x, unit_w):
-    """Weighted integrand values at the rule's nodes, shaped (components,
-    panels, nodes), and whether the integrand returned a stack.
-
-    A panel with direction 0 spans x in [u0, u0 + width]; direction +1 or -1
-    maps s in [u0, u0 + width] within [0, 1) to x = anchor + direction*s/(1-s).
-    """
-    s = u0[:, None] + width[:, None] * unit_x
-    mapped = (direction != 0.0)[:, None]
-    q = np.where(mapped, 1.0 - s, 1.0)
-    x = np.where(mapped, anchor[:, None] + direction[:, None] * s / q, s)
-    fx = f(x) * np.where(mapped, 1.0 / (q * q), 1.0) * (width[:, None] * unit_w)
-    return fx.reshape(-1, *x.shape), fx.ndim > x.ndim
-
-
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     breakpoints: Iterable[float] = (),
 ) -> QuadratureEstimate:
-    """Integrate ``f`` over (lo, hi), either endpoint possibly infinite.
+    """Integrate ``f`` over the finite interval (lo, hi).
 
     ``f`` maps an array ``x`` of abscissae to the array of integrand values,
     or to a stack of k components of shape ``(k,) + x.shape``.  Breakpoints
@@ -107,23 +89,12 @@ def integrate(
     such as 1/sqrt(x) on (0, 1), whose panel error falls only as the square
     root of its width, exhausts the budget and reports ``converged=False``.
     """
-    if not lo < hi:
-        raise DomainError(f"need lo < hi, got lo={lo}, hi={hi}")
+    if not -np.inf < lo < hi < np.inf:
+        raise DomainError(f"need finite lo < hi, got lo={lo}, hi={hi}")
 
-    pts = sorted(p for p in breakpoints if lo < p < hi)
-    if not pts and math.isinf(lo) and math.isinf(hi):
-        pts = [0.0]
-    edges = [lo, *pts, hi]
-    panels = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if math.isinf(a):  # (-inf, b]: x = b - s/(1-s)
-            panels.append((0.0, 1.0, b, -1.0))
-        elif math.isinf(b):  # [a, inf): x = a + s/(1-s)
-            panels.append((0.0, 1.0, a, 1.0))
-        else:
-            panels.append((a, b - a, 0.0, 0.0))
-    u0, width, anchor, direction = np.array(panels).T
-    share = np.full(len(u0), 1.0 / len(u0))
+    edges = np.array([lo, *sorted(p for p in breakpoints if lo < p < hi), hi])
+    start, width = edges[:-1], np.diff(edges)
+    share = np.full(start.size, 1.0 / start.size)
     nodes, weights = _NODES, _WEIGHTS
     whole = None
 
@@ -131,8 +102,12 @@ def integrate(
     evaluations = 0
     ok = True
     while True:
-        fx, stacked = _rule_terms(f, u0, width, anchor, direction, nodes, weights)
-        evaluations += u0.size * nodes.size
+        # weighted integrand values, shaped (components, panels, nodes)
+        x = start[:, None] + width[:, None] * nodes
+        fx = f(x) * (width[:, None] * weights)
+        stacked = fx.ndim > x.ndim
+        fx = fx.reshape(-1, *x.shape)
+        evaluations += x.size
         if whole is None:
             whole = fx[..., 2 * _K :].sum(axis=-1)
             nodes, weights = _NODES[: 2 * _K], _WEIGHTS[: 2 * _K]
@@ -151,11 +126,9 @@ def integrate(
         l1_mass += l1[:, keep].sum(axis=-1)
         if not split.any():
             break
-        u0, half = u0[split], width[split] / 2.0
-        u0 = np.concatenate([u0, u0 + half])
+        start, half = start[split], width[split] / 2.0
+        start = np.concatenate([start, start + half])
         width = np.concatenate([half, half])
-        anchor = np.tile(anchor[split], 2)
-        direction = np.tile(direction[split], 2)
         share = np.tile(share[split] / 2.0, 2)
         whole = np.concatenate([left[:, split], right[:, split]], axis=-1)
 
@@ -168,31 +141,3 @@ def integrate(
         evaluations=evaluations,
         converged=converged,
     )
-
-
-def quad_J(cfg: WedgeConfig, rho: float) -> QuadratureEstimate:
-    """Numeric value of the weighted profile integral over the whole line.
-
-    Cross-checks the closed form (2^(2*rho)-1) / (rho*(2*rho+1)*tan(theta)*alpha^(2*rho)).
-    """
-    _check_rho(cfg, rho)
-    tan_t = cfg.tan_theta
-    alpha = cfg.alpha
-    power = 2.0 * rho - 1.0
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        t = x * tan_t
-        return np.exp(power * log_profile_F(t, alpha) - 2.0 * alpha * np.abs(t))
-
-    # pin the integrand's features: geometric multiples of the natural decay
-    # length keep every panel's mass near its edges, and for rho > 3/2 the
-    # integrand peaks away from the kink (slow saturation of F**(2*rho-1)
-    # balancing the exponential decay), so the peak gets a breakpoint too
-    scale = 1.0 / (alpha * tan_t)
-    breakpoints = [0.0]
-    breakpoints.extend(s * scale for s in (-4.0, -2.0, -1.0, 1.0, 2.0, 4.0, 8.0, 16.0))
-    if rho > 1.5:
-        x_peak = math.log((2.0 * rho + 1.0) / 4.0) / (alpha * tan_t)
-        breakpoints.extend((0.5 * x_peak, x_peak, 2.0 * x_peak, 4.0 * x_peak))
-
-    return integrate(integrand, -math.inf, math.inf, breakpoints=breakpoints)

@@ -92,6 +92,8 @@ class GridSpec:
 def _check_box(L: float | None, h: float | None) -> None:
     if not all(0.0 < x < math.inf for x in (L, h) if x is not None):
         raise DomainError(f"L and h must be positive and finite, got L={L}, h={h}")
+    if L is not None and h is not None and L / h == math.inf:
+        raise DomainError(f"L/h must be finite, got L={L}, h={h}")
 
 
 @dataclass
@@ -132,10 +134,6 @@ def _ray_samples(cfg: WedgeConfig, grid: GridSpec):
     cos_t, sin_t = math.cos(cfg.theta), math.sin(cfg.theta)
     t_max = L / max(cos_t, sin_t)
     nk = int(math.floor(t_max / h + 1e-9))
-    if nk < 8:
-        raise DomainError(
-            f"grid too coarse: only {nk} samples per ray (need at least 8)"
-        )
 
     rows, cols, vals, weights = [], [], [], []
     row = 0
@@ -382,6 +380,7 @@ def solve(
     _check_box(L, h)
     if L is None:
         L = max(8.0 / cfg.alpha, 12.0)
+        _check_box(L, h)  # a given h may be too fine for the default box
     h = L / (128 if h is None else max(64, round(L / h)))
     shift = -2.0 * cfg.alpha**2
     grid = GridSpec(L, h)

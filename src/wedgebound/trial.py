@@ -76,6 +76,8 @@ class TrialParams:
             raise DomainError(f"rho must be positive, got {self.rho}")
         if not self.n > 0.0:
             raise DomainError(f"n must be positive, got {self.n}")
+        if math.isinf(self.rho) or math.isinf(self.n):
+            raise DomainError(f"rho and n must be finite, got rho={self.rho}, n={self.n}")
 
     def check(self, cfg: WedgeConfig) -> None:
         """Enforce the config-dependent constraint rho < cot^2(theta)."""
@@ -107,7 +109,18 @@ def _two_pow_minus_one(e: float) -> float:
     # expm1 keeps full precision for small exponents, where 2**e - 1 would
     # cancel; the same helper is used by every formula so the two bound
     # computation paths stay bitwise-correlated.
-    return math.expm1(e * math.log(2.0))
+    try:
+        return math.expm1(e * math.log(2.0))
+    except OverflowError:
+        raise DomainError(f"2**{e} overflows a float") from None
+
+
+def _pow(base: float, exponent: float) -> float:
+    """base**exponent, raising DomainError where it overflows a float."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise DomainError(f"{base}**{exponent} overflows a float") from None
 
 
 def profile_F(t: float, alpha: float) -> float:
@@ -176,7 +189,7 @@ def closed_R(cfg: WedgeConfig, rho: float) -> float:
     if rho > cot_sq:
         raise DomainError(f"rho must not exceed cot^2 theta = {cot_sq}, got {rho}")
     return (
-        cfg.alpha ** (-2.0 * rho)
+        _pow(cfg.alpha, -2.0 * rho)
         * cfg.tan_theta
         * (rho - cot_sq)
         * _two_pow_minus_one(2.0 * rho)
@@ -188,7 +201,7 @@ def closed_J(cfg: WedgeConfig, rho: float) -> float:
     """Closed form of the weighted profile integral checked by quad_J."""
     _check_rho(cfg, rho)
     return _two_pow_minus_one(2.0 * rho) / (
-        rho * (2.0 * rho + 1.0) * cfg.tan_theta * cfg.alpha ** (2.0 * rho)
+        rho * (2.0 * rho + 1.0) * cfg.tan_theta * _pow(cfg.alpha, 2.0 * rho)
     )
 
 
@@ -221,11 +234,14 @@ def bound_constants(cfg: WedgeConfig) -> BoundReport:
     sin_sq = math.sin(cfg.theta) ** 2
     a = -closed_R(cfg, cos_sq)
     big_b = _big_b(cos_sq)
-    alpha_pow = cfg.alpha ** (-(2.0 * cos_sq + 1.0))
+    alpha_pow = _pow(cfg.alpha, -(2.0 * cos_sq + 1.0))
     b = alpha_pow * big_b / (36.0 * sin_sq)
     c = 6.0 * (1.0 + 2.0 * cos_sq) * alpha_pow
     n_opt = 2.0 * b / a
-    capital_lambda = a * a / (4.0 * b * c * cfg.alpha**2)
+    denominator = 4.0 * b * c * _pow(cfg.alpha, 2)
+    if not 0.0 < denominator < math.inf:  # Lambda is scale-free, 4*b*c is not
+        raise DomainError(f"4*b*c*alpha**2 = {denominator} is out of float range")
+    capital_lambda = a * a / denominator
     return BoundReport(
         a=a,
         b=b,

@@ -10,6 +10,8 @@ Derivatives of h are taken analytically piecewise; numerical
 differentiation would dominate the error budget of the energy functional.
 The integrands are numpy functions of an array of abscissae, and powers of
 the profile F are formed from log F, which stays finite deep in its tail.
+Every integral of the trial family lives here, quad_J's check of the closed
+form J included.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import integrate
+from .quadrature import QuadratureEstimate, integrate
 from .trial import TrialParams, WedgeConfig, _check_rho, bound_constants, log_profile_F
 
 __all__ = [
     "RayleighReport",
     "rayleigh",
+    "quad_J",
     "verify_thm1",
     "optimize_bound",
     "golden_section",
@@ -119,6 +122,41 @@ def rayleigh(cfg: WedgeConfig, params: TrialParams) -> RayleighReport:
         margin=-ratio,
         params=params,
     )
+
+
+def quad_J(cfg: WedgeConfig, rho: float) -> QuadratureEstimate:
+    """Numeric value of the weighted profile integral over the whole line.
+
+    Cross-checks the closed form (2^(2*rho)-1) / (rho*(2*rho+1)*tan(theta)*alpha^(2*rho)).
+    """
+    _check_rho(cfg, rho)
+    tan_t = cfg.tan_theta
+    alpha = cfg.alpha
+    power = 2.0 * rho - 1.0
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        t = x * tan_t
+        return np.exp(power * log_profile_F(t, alpha) - 2.0 * alpha * np.abs(t))
+
+    # pin the integrand's features: geometric multiples of the natural decay
+    # length keep every panel's mass near its edges, and for rho > 3/2 the
+    # integrand peaks away from the kink (slow saturation of F**(2*rho-1)
+    # balancing the exponential decay), so the peak gets a breakpoint too
+    scale = 1.0 / (alpha * tan_t)
+    breakpoints = [0.0]
+    breakpoints.extend(s * scale for s in (-4.0, -2.0, -1.0, 1.0, 2.0, 4.0, 8.0, 16.0))
+    if rho > 1.5:
+        x_peak = math.log((2.0 * rho + 1.0) / 4.0) / (alpha * tan_t)
+        breakpoints.extend((0.5 * x_peak, x_peak, 2.0 * x_peak, 4.0 * x_peak))
+
+    # cut the line where each tail drops below exp(-40) = 4.2e-18 of J: the
+    # tail left of lo is exactly rho/(2^(2rho)-1) * exp(-40) <= exp(-40)/(2 ln 2)
+    # of J, and as F lies in [1/alpha, 2/alpha) for x > 0, the tail right of
+    # hi is at most (1 + rho*(2rho+1)) * exp(-2*hi/scale) = exp(-40) of J;
+    # together less than 1e-17 * J for every admissible rho
+    lo = -40.0 / (2.0 * rho + 1.0) * scale
+    hi = (20.0 + 0.5 * math.log1p(rho * (2.0 * rho + 1.0))) * scale
+    return integrate(integrand, lo, hi, breakpoints=breakpoints)
 
 
 def verify_thm1(cfg: WedgeConfig, rho: float) -> tuple[float, RayleighReport]:

@@ -227,6 +227,13 @@ class TestInvalidNumbers:
             ["solve", "--theta", "0.7", "--box", "inf", "--spacing", "0.1875"],
             ["bound", "--theta", "0.7", "--alpha", "inf"],
             ["rayleigh", "--theta", "0.7", "--alpha", "inf"],
+            ["rayleigh", "--theta", "0.7", "--n", "inf"],
+            ["bound", "--theta", "0.7", "--alpha", "1e-300"],
+            ["bound", "--theta", "0.7", "--alpha", "1e200"],
+            ["optimize", "--theta", "0.7", "--alpha", "1e200"],
+            ["rayleigh", "--theta", "0.7", "--alpha", "1e-200"],
+            ["solve", "--theta", "0.7", "--box", "1e300", "--spacing", "1e-10"],
+            ["solve", "--theta", "0.7", "--spacing", "1e-320"],
         ],
     )
     def test_exit_1(self, capsys, argv):

@@ -79,9 +79,8 @@ class TestAssemble:
         assert abs(H @ P - P @ H).max() <= 1e-12 * scale
 
     def test_too_coarse_ray_sampling(self):
-        # 8/alpha fits, but rays get fewer than 8 samples only on absurd
-        # grids, which the L/h >= 64 invariant already blocks; check the
-        # small-box guard instead.
+        # a ray runs at least L inside the box, so the L/h >= 64 invariant
+        # already gives it 64 samples; check the small-box guard instead.
         with pytest.raises(DomainError):
             assemble(WedgeConfig(0.7, 0.1), GridSpec(12.0, 12.0 / 64))
 

@@ -10,6 +10,7 @@ from wedgebound import (
     TrialParams,
     WedgeConfig,
     bound_constants,
+    closed_J,
     closed_R,
     g_rho,
     lambda_upper,
@@ -40,6 +41,13 @@ class TestWedgeConfig:
         WedgeConfig(theta=math.pi / 2, alpha=1.0)
 
 
+class TestTrialParams:
+    @pytest.mark.parametrize("rho, n", [(math.inf, 1.0), (0.5, math.inf), (0.5, math.nan)])
+    def test_rejects_non_finite(self, rho, n):
+        with pytest.raises(DomainError):
+            TrialParams(rho=rho, n=n)
+
+
 class TestProfileF:
     def test_at_zero(self):
         assert profile_F(0.0, 1.0) == 1.0
@@ -49,8 +57,9 @@ class TestProfileF:
         assert profile_F(1e3, 1.0) == pytest.approx(2.0, abs=1e-15)
 
     def test_left_tail_against_quadrature_oracle(self):
-        # oracle: adaptive quadrature of exp(-2|x|) over (-inf, -1)
-        oracle = integrate(lambda x: np.exp(-2.0 * np.abs(x)), -math.inf, -1.0)
+        # oracle: adaptive quadrature of exp(-2|x|) over (-21, -1); the tail
+        # beyond -21 is e^-42/2, 6e-18 of the value
+        oracle = integrate(lambda x: np.exp(-2.0 * np.abs(x)), -21.0, -1.0)
         assert oracle.converged
         assert oracle.value == pytest.approx(math.exp(-2.0) / 2.0, rel=1e-12)
         assert profile_F(-1.0, 2.0) == pytest.approx(oracle.value, rel=1e-12)
@@ -170,6 +179,23 @@ class TestClosedR:
             closed_R(cfg, 0.0)
         with pytest.raises(DomainError):
             closed_R(cfg, 2.0 * cfg.cot_sq_theta)
+
+
+class TestOverflow:
+    # rho = 1000 is admissible at theta = 0.02 (cot^2 theta = 2500), but
+    # 2**(2*rho) is not a float
+    @pytest.mark.parametrize("closed_form", [closed_R, closed_J])
+    def test_closed_forms(self, closed_form):
+        with pytest.raises(DomainError, match="overflows"):
+            closed_form(WedgeConfig(0.02, 1.0), 1000.0)
+
+    # alpha**(-2cos^2 theta) overflows at 1e-300, alpha**(-2cos^2 theta - 1)
+    # at 1e-200 and alpha**2 at 1e200; 4*b*c overflows at 1e-100 and
+    # underflows at 1e100
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-200, 1e-100, 1e100, 1e200])
+    def test_bound_constants(self, alpha):
+        with pytest.raises(DomainError):
+            bound_constants(WedgeConfig(0.7, alpha))
 
 
 class TestLambdaUpper:

@@ -217,6 +217,16 @@ class TestOptimizeBound:
         _, rep = optimize_bound(cfg)
         assert rep.margin > report.capital_lambda * cfg.alpha**2
 
+    @given(theta=st.floats(0.2, 1.45), alpha=st.floats(0.5, 3.0))
+    @settings(max_examples=15, deadline=None)
+    def test_ordering_chain(self, theta, alpha):
+        cfg = WedgeConfig(theta, alpha)
+        report = bound_constants(cfg)
+        _, optimized = optimize_bound(cfg)
+        default = rayleigh(cfg, TrialParams(rho=math.cos(theta) ** 2, n=report.n_opt))
+        assert optimized.quotient <= default.quotient <= report.lambda_upper_bound
+        assert report.lambda_upper_bound < -(alpha**2) / 4.0
+
     def test_coupling_scaling_of_margin(self):
         _, r1 = optimize_bound(WedgeConfig(0.9, 1.0))
         _, r2 = optimize_bound(WedgeConfig(0.9, 2.0))
