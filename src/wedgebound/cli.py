@@ -22,6 +22,7 @@ from .trial import (
     DomainError,
     TrialParams,
     WedgeConfig,
+    _pow,
     bound_constants,
     lambda_upper,
 )
@@ -155,7 +156,7 @@ def _sweep_row(theta: float, args) -> dict:
         cfg = WedgeConfig(theta=theta, alpha=args.alpha)
         lam = lambda_upper(theta)
         row["capital_lambda"] = lam
-        row["bound_thm2"] = -args.alpha**2 * (0.25 + lam)
+        row["bound_thm2"] = -_pow(args.alpha, 2) * (0.25 + lam)
         _, rep = optimize_bound(cfg)
         row["bound_optimized"] = rep.quotient
         status = "ok"

@@ -1,26 +1,25 @@
 """Finite-difference ground-state solver for the wedge delta-interaction.
 
 The quadratic form (Dirichlet energy minus the line term) is discretized on
-a uniform grid over [-L, L]^2 with Dirichlet boundary.  The line term is
-sampled along each ray at arc-length spacing h with trapezoid weights and
-bilinear interpolation, which keeps the matrix symmetric.  Because the
-interpolation cells straddle the eigenfunction's normal-derivative cusp,
-the eigenvalue error is first order in h with a second-order tail; solve()
-removes both terms by fitting over three grids.  The wedge bisector lies along the x-axis,
-rays at angles +/-theta, so the grid reflection y -> -y is a symmetry of the
-assembled matrix, exact up to rounding: the -theta ray's stencil weights are
-rounded on their own.  The ground state of a reflection-symmetric operator is
+a uniform grid over [-L, L]^2 with Dirichlet boundary.  The wedge bisector
+lies along the x-axis, rays at angles +/-theta.  The line term samples the
++theta ray at arc-length spacing h with trapezoid weights and bilinear
+interpolation, which keeps the matrix symmetric, and the -theta ray's part
+is its mirror image, so the grid reflection y -> -y is a symmetry of the
+assembled matrix bit for bit.  Because the interpolation cells straddle the
+eigenfunction's normal-derivative cusp, the eigenvalue error is first order
+in h with a second-order tail; solve() removes both terms by fitting over
+three grids.  The ground state of a reflection-symmetric operator is
 positive, hence even, so solve() restricts every grid level to the even
 subspace (about half the unknowns), lifts the eigenvector back to the full
 grid and takes its residual again against the full matrix.  Each shift of
 the shift-invert Lanczos iteration is factorized once, with a symmetric
-fill-reducing ordering.  The first level
-is solved at the shift -2*alpha^2; every later level takes its shift from
-the eigenvalues already solved, just below the expected one, which cuts the
-Lanczos solves about threefold.  Because the matrix is a Z-matrix, each
-shift is certified to lie below the spectrum (an M-matrix test on one solve
-with its factor) before the iteration runs, so the eigenvalue found is the
-lowest one.
+fill-reducing ordering.  The first level is solved at the shift
+-2*alpha^2; every later level takes its shift from the eigenvalues already
+solved, just below the expected one, which cuts the Lanczos solves about
+threefold.  Because the matrix is a Z-matrix, each shift is certified to lie
+below the spectrum (an M-matrix test on one solve with its factor) before
+the iteration runs, so the eigenvalue found is the lowest one.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .quadrature import ConvergenceError
-from .trial import DomainError, WedgeConfig
+from .trial import DomainError, WedgeConfig, _pow
 
 __all__ = [
     "GridSpec",
@@ -89,10 +88,10 @@ class GridSpec:
         return GridSpec(2.0 * self.L, 2.0 * self.h)
 
 
-def _check_box(L: float | None, h: float | None) -> None:
+def _check_box(L: float, h: float | None) -> None:
     if not all(0.0 < x < math.inf for x in (L, h) if x is not None):
         raise DomainError(f"L and h must be positive and finite, got L={L}, h={h}")
-    if L is not None and h is not None and L / h == math.inf:
+    if h is not None and L / h == math.inf:
         raise DomainError(f"L/h must be finite, got L={L}, h={h}")
 
 
@@ -126,43 +125,36 @@ def dirichlet_laplacian(grid: GridSpec) -> sp.csr_matrix:
     return (sp.kron(k1, eye) + sp.kron(eye, k1)).tocsr()
 
 
-def _ray_samples(cfg: WedgeConfig, grid: GridSpec):
-    """Sample matrix S (rows = bilinear stencils) and trapezoid weights."""
-    L, h = grid.L, grid.h
-    n = grid.n_intervals
-    m = grid.n_interior
-    cos_t, sin_t = math.cos(cfg.theta), math.sin(cfg.theta)
-    t_max = L / max(cos_t, sin_t)
-    nk = int(math.floor(t_max / h + 1e-9))
-
-    rows, cols, vals, weights = [], [], [], []
-    row = 0
-    for sign in (1.0, -1.0):
-        for k in range(nk + 1):
-            t = k * h
-            px, py = t * cos_t, sign * t * sin_t
-            gx, gy = (px + L) / h, (py + L) / h
-            ix, iy = min(int(gx), n - 1), min(int(gy), n - 1)
-            fx, fy = gx - ix, gy - iy
-            for di, wx in ((0, 1.0 - fx), (1, fx)):
-                for dj, wy in ((0, 1.0 - fy), (1, fy)):
-                    w = wx * wy
-                    gi, gj = ix + di, iy + dj
-                    if w != 0.0 and 1 <= gi <= n - 1 and 1 <= gj <= n - 1:
-                        rows.append(row)
-                        cols.append((gi - 1) * m + (gj - 1))
-                        vals.append(w)
-            weights.append(h / 2.0 if k in (0, nk) else h)
-            row += 1
-
-    S = sp.csr_matrix((vals, (rows, cols)), shape=(row, m * m))
-    return S, np.asarray(weights)
-
-
 def delta_line_matrix(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
-    """Line-term matrix: trapezoid-weighted sum of interpolation outer products."""
-    S, w = _ray_samples(cfg, grid)
-    D = (S.T @ sp.diags(w) @ S).tocsr()
+    """Line-term matrix: trapezoid-weighted sum of interpolation outer products.
+
+    The +theta ray is sampled at arc-length spacing h; row k of the sample
+    matrix S is the bilinear stencil of sample k.  The -theta ray's part is
+    the mirror image of the +theta ray's, node (i, j) to (i, n - j).
+    """
+    L, h, n, m = grid.L, grid.h, grid.n_intervals, grid.n_interior
+    cos_t, sin_t = math.cos(cfg.theta), math.sin(cfg.theta)
+    nk = int(math.floor(L / max(cos_t, sin_t) / h + 1e-9))
+    t = np.arange(nk + 1) * h
+    g = (np.stack([t * cos_t, t * sin_t]) + L) / h  # grid coordinates (x, y)
+    cell = np.minimum(g.astype(np.int64), n - 1)
+    # per axis, each sample's two cell nodes and their interpolation weights
+    node = cell[:, :, None] + np.array([0, 1])
+    weight = np.stack([1.0 - (g - cell), g - cell], axis=-1)
+    # the cell's four corners, shaped (samples, 2, 2); the samples lie in
+    # x, y >= 0, so only nodes at index n are on the boundary
+    i, j = node[0][:, :, None], node[1][:, None, :]
+    w = weight[0][:, :, None] * weight[1][:, None, :]
+    keep = (w != 0.0) & (i < n) & (j < n)
+    rows, cols = np.nonzero(keep)[0], ((i - 1) * m + (j - 1))[keep]
+    S = sp.csr_matrix((w[keep], (rows, cols)), shape=(nk + 1, m * m))
+    trapezoid = np.full(nk + 1, h)
+    trapezoid[[0, -1]] = h / 2.0
+    D = (S.T @ sp.diags(trapezoid) @ S).tocoo()
+    # add the mirror image, interior column c to c + (m - 1) - 2 * (c % m);
+    # each entry becomes a + b, the same float as its mirror's b + a
+    rows, cols = (np.concatenate([c, c + (m - 1) - 2 * (c % m)]) for c in (D.row, D.col))
+    D = sp.csr_matrix((np.tile(D.data, 2), (rows, cols)), shape=D.shape)
     # symmetric by construction; remove rounding asymmetry from the matmul
     return ((D + D.T) * 0.5).tocsr()
 
@@ -174,9 +166,8 @@ def assemble(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
             f"box half-width {grid.L} below 8/alpha = {8.0 / cfg.alpha}; "
             "the bound state would not fit"
         )
-    A = dirichlet_laplacian(grid)
-    D = delta_line_matrix(cfg, grid)
-    return (A - (cfg.alpha / grid.h**2) * D).tocsr()
+    coupling = cfg.alpha / _pow(grid.h, 2)
+    return (dirichlet_laplacian(grid) - coupling * delta_line_matrix(cfg, grid)).tocsr()
 
 
 def _residual(H: sp.spmatrix, lam: float, v: np.ndarray) -> float:
@@ -377,12 +368,11 @@ def solve(
     extended state along the line keeps some mass at the boundary at any box
     size, so the cap is a hard stop.
     """
-    _check_box(L, h)
     if L is None:
         L = max(8.0 / cfg.alpha, 12.0)
-        _check_box(L, h)  # a given h may be too fine for the default box
+    _check_box(L, h)
     h = L / (128 if h is None else max(64, round(L / h)))
-    shift = -2.0 * cfg.alpha**2
+    shift = -2.0 * _pow(cfg.alpha, 2)
     grid = GridSpec(L, h)
     solved: list[float] = []  # every eigenvalue so far, in solve order
 

@@ -2,8 +2,9 @@
 
 The geometry is a wedge: two rays from the origin at half-angle ``theta``
 carrying an attractive delta-interaction of strength ``alpha``.  Everything
-in this module is an explicit formula; numerical integration lives in
-:mod:`wedgebound.quadrature` and is used only as an independent check.
+in this module is an explicit formula.  The integrals of the trial family
+live in :mod:`wedgebound.variational`: its Rayleigh quotients compute the
+optimized bound by quadrature, and its ``quad_J`` checks the closed form J.
 """
 
 from __future__ import annotations
@@ -48,10 +49,8 @@ class WedgeConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.theta <= math.pi / 2:
             raise DomainError(f"theta must lie in (0, pi/2], got {self.theta}")
-        if not self.alpha > 0.0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if math.isinf(self.alpha):
-            raise DomainError(f"alpha must be finite, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def tan_theta(self) -> float:
@@ -59,9 +58,7 @@ class WedgeConfig:
 
     @property
     def cot_sq_theta(self) -> float:
-        c = math.cos(self.theta)
-        s = math.sin(self.theta)
-        return (c / s) ** 2
+        return _pow(math.cos(self.theta) / math.sin(self.theta), 2)
 
 
 @dataclass(frozen=True)
@@ -72,12 +69,10 @@ class TrialParams:
     n: float
 
     def __post_init__(self) -> None:
-        if not self.rho > 0.0:
-            raise DomainError(f"rho must be positive, got {self.rho}")
-        if not self.n > 0.0:
-            raise DomainError(f"n must be positive, got {self.n}")
-        if math.isinf(self.rho) or math.isinf(self.n):
-            raise DomainError(f"rho and n must be finite, got rho={self.rho}, n={self.n}")
+        if not (0.0 < self.rho < math.inf and 0.0 < self.n < math.inf):
+            raise DomainError(
+                f"rho and n must be positive and finite, got rho={self.rho}, n={self.n}"
+            )
 
     def check(self, cfg: WedgeConfig) -> None:
         """Enforce the config-dependent constraint rho < cot^2(theta)."""

@@ -17,13 +17,15 @@ form J included.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .quadrature import QuadratureEstimate, integrate
-from .trial import TrialParams, WedgeConfig, _check_rho, bound_constants, log_profile_F
+from .quadrature import ConvergenceError, QuadratureEstimate, integrate
+from .trial import DomainError, TrialParams, WedgeConfig, bound_constants, log_profile_F
+from .trial import _check_rho, _pow
 
 __all__ = [
     "RayleighReport",
@@ -55,7 +57,6 @@ class RayleighReport:
     norm_sq: float
     quotient: float
     margin: float
-    params: TrialParams
 
 
 def _trial_profile(cfg: WedgeConfig, params: TrialParams, x: np.ndarray):
@@ -93,12 +94,19 @@ def _cut_breakpoints(cfg: WedgeConfig, n: float) -> tuple[float, ...]:
     return tuple(sorted(p for p in pts if -2.0 * n < p < 2.0 * n))
 
 
+def _overflow(kind: str, flag: int) -> None:
+    """numpy error callback: raise at once, rather than integrate inf."""
+    raise DomainError("the integrand overflows a float")
+
+
+@np.errstate(over="call", call=_overflow)
 def rayleigh(cfg: WedgeConfig, params: TrialParams) -> RayleighReport:
     """Rayleigh quotient report; quotient = -alpha^2/4 + R/norm^2 by identity.
 
     R and norm^2 come from one quadrature of the stacked integrand.  R
     converges to closed_R(cfg, rho) as n grows, with O(1/n) error from the
-    cutoff wings, and is reported without sign judgment.
+    cutoff wings, and is reported without sign judgment.  An integrand or
+    squared norm out of normal float range, as at extreme alpha, is invalid.
     """
     params.check(cfg)
     cot_t = 1.0 / cfg.tan_theta
@@ -114,16 +122,18 @@ def rayleigh(cfg: WedgeConfig, params: TrialParams) -> RayleighReport:
         breakpoints=_cut_breakpoints(cfg, params.n),
     )
     r, ns = est.require().tolist()
+    if not ns >= sys.float_info.min:  # a subnormal norm has lost digits
+        raise DomainError(f"the squared norm {ns} underflows a normal float")
     ratio = r / ns
     return RayleighReport(
         r_value=r,
         norm_sq=ns,
-        quotient=-cfg.alpha**2 / 4.0 + ratio,
+        quotient=-_pow(cfg.alpha, 2) / 4.0 + ratio,
         margin=-ratio,
-        params=params,
     )
 
 
+@np.errstate(over="call", call=_overflow)
 def quad_J(cfg: WedgeConfig, rho: float) -> QuadratureEstimate:
     """Numeric value of the weighted profile integral over the whole line.
 
@@ -221,7 +231,10 @@ def optimize_bound(cfg: WedgeConfig) -> tuple[TrialParams, RayleighReport]:
     rho_hi = (1.0 - 1e-6) * cot_sq
 
     def quotient(r: float, m: float) -> float:
-        return rayleigh(cfg, TrialParams(rho=r, n=m)).quotient
+        try:
+            return rayleigh(cfg, TrialParams(rho=r, n=m)).quotient
+        except DomainError as exc:  # the search left float range, not the input
+            raise ConvergenceError(f"the search probed rho={r}, n={m}: {exc}") from None
 
     best_q = quotient(rho, n)
     best = (rho, n)

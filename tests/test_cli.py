@@ -234,6 +234,11 @@ class TestInvalidNumbers:
             ["rayleigh", "--theta", "0.7", "--alpha", "1e-200"],
             ["solve", "--theta", "0.7", "--box", "1e300", "--spacing", "1e-10"],
             ["solve", "--theta", "0.7", "--spacing", "1e-320"],
+            ["verify", "--theta", "0.7", "--alpha", "1e200"],
+            ["verify", "--theta", "0.7", "--alpha", "1e-200"],
+            ["bound", "--theta", "1e-200"],
+            ["solve", "--theta", "0.7", "--alpha", "1e-200"],
+            ["solve", "--theta", "0.7", "--alpha", "1e200", "--box", "1", "--spacing", "0.01"],
         ],
     )
     def test_exit_1(self, capsys, argv):
@@ -252,6 +257,16 @@ class TestInvalidNumbers:
         rows = list(csv.DictReader(out.splitlines()))
         assert len(rows) == 2
         assert all(r["status"].startswith("error: ") for r in rows)
+
+
+    def test_sweep_rows_report_overflowing_alpha(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--theta-min", "0.5", "--theta-max", "0.9", "--theta-steps", "2",
+            "--alpha", "1e200",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [r["status"] for r in rows] == ["error: 1e+200**2 overflows a float"] * 2
 
 
 def synthetic_sweep_csv(path, thetas, mu_of_theta, alpha=1.0):

@@ -131,6 +131,15 @@ class TestQuadJ:
         with pytest.raises(DomainError):
             quad_J(cfg, 0.0)
 
+    def test_overflow_is_domain_error(self):
+        # admissible rho (cot^2 theta = 2500), but the integrand leaves float
+        # range, as closed_J's 2^(2*rho) does
+        cfg = WedgeConfig(theta=0.02, alpha=1.0)
+        with pytest.raises(DomainError):
+            quad_J(cfg, 1000.0)
+        with pytest.raises(DomainError):
+            closed_J(cfg, 1000.0)
+
     def test_oracle_agreement_random(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

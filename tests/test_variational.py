@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wedgebound import (
+    ConvergenceError,
     DomainError,
     TrialParams,
     WedgeConfig,
@@ -226,6 +227,15 @@ class TestOptimizeBound:
         default = rayleigh(cfg, TrialParams(rho=math.cos(theta) ** 2, n=report.n_opt))
         assert optimized.quotient <= default.quotient <= report.lambda_upper_bound
         assert report.lambda_upper_bound < -(alpha**2) / 4.0
+
+    def test_probe_out_of_float_range_is_convergence_error(self, cfg, monkeypatch):
+        # the search, not the input, chose the parameters that overflowed
+        def overflow(cfg, params):
+            raise DomainError("the integrand overflows a float")
+
+        monkeypatch.setattr(variational, "rayleigh", overflow)
+        with pytest.raises(ConvergenceError, match="the search probed"):
+            optimize_bound(cfg)
 
     def test_coupling_scaling_of_margin(self):
         _, r1 = optimize_bound(WedgeConfig(0.9, 1.0))
