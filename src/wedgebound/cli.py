@@ -197,13 +197,26 @@ def cmd_sweep(args) -> tuple[dict, dict]:
 
 
 def _load_sweep_table(path: str) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DomainError(f"cannot read table {path}: {exc}") from None
     missing = set(SWEEP_COLUMNS) - set(rows[0] if rows else {})
     if missing:
         raise DomainError(f"table lacks sweep columns: {sorted(missing)}")
     return rows
+
+
+def _cell(row: dict, key: str) -> float:
+    """A cell of a sweep table as a finite float."""
+    try:
+        x = float(row[key])
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise DomainError(f"{key} cell {row[key]!r} is not a finite number")
+    return x
 
 
 def cmd_fit(args) -> tuple[dict, dict]:
@@ -212,15 +225,16 @@ def cmd_fit(args) -> tuple[dict, dict]:
     for row in rows:
         if not row.get("lambda_fd"):
             continue
-        theta = float(row["theta"])
-        alpha = float(row["alpha"])
-        lam = float(row["lambda_fd"])
+        theta, alpha, lam = (_cell(row, k) for k in ("theta", "alpha", "lambda_fd"))
+        a2 = _pow(alpha, 2)
         if args.side == "pi_half":
-            x = math.pi / 2.0 - theta
-            y = -(alpha**2) / 4.0 - lam
+            x, y = math.pi / 2.0 - theta, -a2 / 4.0 - lam
+        elif a2 > 0.0:
+            x, y = theta, 1.0 - (-lam / a2)
         else:
-            x = theta
-            y = 1.0 - (-lam / alpha**2)
+            raise DomainError(f"alpha cell {alpha!r} squares to 0")
+        if not math.isfinite(y):
+            raise DomainError(f"lambda_fd/alpha**2 = {lam!r}/{a2!r} overflows a float")
         if x > 0.0 and y > 0.0:
             xs.append(math.log(x))
             ys.append(math.log(y))

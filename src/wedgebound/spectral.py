@@ -1,7 +1,9 @@
 """Finite-difference ground-state solver for the wedge delta-interaction.
 
 The quadratic form (Dirichlet energy minus the line term) is discretized on
-a uniform grid over [-L, L]^2 with Dirichlet boundary.  The wedge bisector
+a uniform grid over [-L, L]^2 with Dirichlet boundary, counted as an integer
+n of intervals per half-width (spacing h = L/n); refining doubles n and
+enlarging the box doubles L, so every spacing is exact.  The wedge bisector
 lies along the x-axis, rays at angles +/-theta.  The line term samples the
 +theta ray at arc-length spacing h with trapezoid weights and bilinear
 interpolation, which keeps the matrix symmetric, and the -theta ray's part
@@ -12,7 +14,7 @@ in h with a second-order tail; solve() removes both terms by fitting over
 three grids.  The ground state of a reflection-symmetric operator is
 positive, hence even, so solve() restricts every grid level to the even
 subspace (about half the unknowns), lifts the eigenvector back to the full
-grid and takes its residual again against the full matrix.  Each shift of
+grid and checks its residual again against the full matrix.  Each shift of
 the shift-invert Lanczos iteration is factorized once, with a symmetric
 fill-reducing ordering.  The first level is solved at the shift
 -2*alpha^2; every later level takes its shift from the eigenvalues already
@@ -58,41 +60,32 @@ MAX_ENLARGEMENTS = 2
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid over [-L, L]^2 with Dirichlet boundary."""
+    """Uniform grid over [-L, L]^2 with Dirichlet boundary and n intervals
+    per half-width, so spacing h = L/n and 2n - 1 interior nodes per axis."""
 
     L: float
-    h: float
+    n: int
 
     def __post_init__(self) -> None:
-        _check_box(self.L, self.h)
-        ratio = self.L / self.h
-        if abs(ratio - round(ratio)) > 1e-9 * ratio or round(ratio) < 64:
-            raise DomainError(
-                f"L/h must be an integer >= 64, got L/h = {ratio}"
-            )
+        if not 0.0 < self.L < math.inf:
+            raise DomainError(f"L must be positive and finite, got L={self.L}")
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 64:
+            raise DomainError(f"n must be an integer >= 64, got n={self.n!r}")
 
     @property
-    def n_intervals(self) -> int:
-        """Number of grid intervals across [-L, L]."""
-        return 2 * round(self.L / self.h)
+    def h(self) -> float:
+        return self.L / self.n
 
     @property
     def n_interior(self) -> int:
-        return self.n_intervals - 1
+        return 2 * self.n - 1
 
     def refined(self) -> "GridSpec":
-        return GridSpec(self.L, self.h / 2.0)
+        return GridSpec(self.L, 2 * self.n)
 
     def enlarged(self) -> "GridSpec":
         # doubles the box while keeping the unknown count (h doubles too)
-        return GridSpec(2.0 * self.L, 2.0 * self.h)
-
-
-def _check_box(L: float, h: float | None) -> None:
-    if not all(0.0 < x < math.inf for x in (L, h) if x is not None):
-        raise DomainError(f"L and h must be positive and finite, got L={L}, h={h}")
-    if h is not None and L / h == math.inf:
-        raise DomainError(f"L/h must be finite, got L={L}, h={h}")
+        return GridSpec(2.0 * self.L, self.n)
 
 
 @dataclass
@@ -132,7 +125,8 @@ def delta_line_matrix(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
     matrix S is the bilinear stencil of sample k.  The -theta ray's part is
     the mirror image of the +theta ray's, node (i, j) to (i, n - j).
     """
-    L, h, n, m = grid.L, grid.h, grid.n_intervals, grid.n_interior
+    L, h, m = grid.L, grid.h, grid.n_interior
+    n = 2 * grid.n  # intervals across [-L, L]
     cos_t, sin_t = math.cos(cfg.theta), math.sin(cfg.theta)
     nk = int(math.floor(L / max(cos_t, sin_t) / h + 1e-9))
     t = np.arange(nk + 1) * h
@@ -171,7 +165,13 @@ def assemble(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
 
 
 def _residual(H: sp.spmatrix, lam: float, v: np.ndarray) -> float:
-    return float(np.linalg.norm(H @ v - lam * v) / np.linalg.norm(v))
+    """||H v - lam v|| / ||v||; ConvergenceError above RESIDUAL_LIMIT * |lam|."""
+    res = float(np.linalg.norm(H @ v - lam * v) / np.linalg.norm(v))
+    if res > RESIDUAL_LIMIT * abs(lam):
+        raise ConvergenceError(
+            f"eigen residual {res} exceeds {RESIDUAL_LIMIT}*|eigenvalue|"
+        )
+    return res
 
 
 def lowest_eigenvalue(H: sp.spmatrix, shift: float) -> SpectralResult:
@@ -212,10 +212,6 @@ def lowest_eigenvalue(H: sp.spmatrix, shift: float) -> SpectralResult:
             continue
         lam, v = float(vals[0]), vecs[:, 0]
         res = _residual(H, lam, v)
-        if res > RESIDUAL_LIMIT * abs(lam):
-            raise ConvergenceError(
-                f"eigen residual {res} exceeds {RESIDUAL_LIMIT}*|eigenvalue|"
-            )
         if v[np.argmax(np.abs(v))] < 0:
             v = -v
         return SpectralResult(
@@ -290,7 +286,7 @@ def _solve_level(cfg: WedgeConfig, grid: GridSpec, shift: float) -> SpectralResu
     """Ground state of one grid level, solved on the even subspace.
 
     The eigenvector is lifted back to the full grid and its residual is
-    taken against the full matrix.
+    taken, and checked like ``lowest_eigenvalue``'s, against the full matrix.
     """
     H = assemble(cfg, grid)
     P = _even_isometry(grid.n_interior)
@@ -351,29 +347,30 @@ def solve(
 ) -> SpectralResult:
     """Extrapolated ground eigenvalue from the grid sequence h, h/2, h/4.
 
-    Starts from L = max(8/alpha, 12), coarse spacing L/128 (so the finest
-    grid is L/512, about a million nodes).  A given L and h must be positive
-    and finite; h is snapped to L/max(64, round(L/h)), so that L/h is an
-    integer >= 64 as ``GridSpec`` requires.  Every level is solved on the
-    even subspace of the y -> -y reflection (about half a million unknowns
-    on the finest grid) with one
+    Starts from L = max(8/alpha, 12) with n = 128 intervals per half-width
+    (the finest grid has 512, about a million nodes).  A given L and h must
+    be positive and finite; the coarse grid then has n = max(64, round(L/h))
+    intervals per half-width.  Refining doubles n and enlarging doubles L.
+    Every level is solved on the even subspace of the y -> -y reflection
+    (about half a million unknowns on the finest grid) with one
     factorization per shift, and its eigenvector is lifted back to the full
     grid.  The first solve uses the shift -2*alpha^2 and every later one,
     coarse re-solves after an enlargement included, ``_next_shift`` of the
     eigenvalues solved before it; ``lowest_eigenvalue`` certifies each shift
-    below the spectrum.  If the
-    coarse eigenfunction leaves more than 1e-10 of its mass within one
-    spacing of the boundary, the box is doubled (unknown count kept) and the
-    solve repeats, at most ``MAX_ENLARGEMENTS`` times; near theta = pi/2 the
-    extended state along the line keeps some mass at the boundary at any box
-    size, so the cap is a hard stop.
+    below the spectrum.  If the coarse eigenfunction leaves more than 1e-10
+    of its mass within one spacing of the boundary, the box is doubled
+    (unknown count kept) and the solve repeats, at most ``MAX_ENLARGEMENTS``
+    times; near theta = pi/2 the extended state along the line keeps some
+    mass at the boundary at any box size, so the cap is a hard stop.
     """
     if L is None:
         L = max(8.0 / cfg.alpha, 12.0)
-    _check_box(L, h)
-    h = L / (128 if h is None else max(64, round(L / h)))
+    if not all(0.0 < x < math.inf for x in (L, h) if x is not None):
+        raise DomainError(f"L and h must be positive and finite, got L={L}, h={h}")
+    if h is not None and L / h == math.inf:
+        raise DomainError(f"L/h must be finite, got L={L}, h={h}")
+    grid = GridSpec(L, 128 if h is None else max(64, round(L / h)))
     shift = -2.0 * _pow(cfg.alpha, 2)
-    grid = GridSpec(L, h)
     solved: list[float] = []  # every eigenvalue so far, in solve order
 
     enlargements = 0
@@ -402,37 +399,24 @@ def solve(
     return result
 
 
-def delta_well_1d(alpha: float) -> SpectralResult:
+def delta_well_1d(alpha: float) -> float:
     """Calibration path: 1D well -u'' - alpha*delta(0) on [-L, L], Dirichlet.
 
     Discretized the same way as the 2D form (3-point stencil, -alpha/h at
-    the origin node) on spacings h = L/512 and h/2 with L = 16/alpha,
-    Richardson-extrapolated.  The continuum eigenvalue is -alpha^2/4.
+    the origin node) with L = 16/alpha and 512, then 1024, intervals per
+    half-width; returns the Richardson extrapolation of the two eigenvalues.
+    The continuum eigenvalue is -alpha^2/4.
     """
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     L = 16.0 / alpha
-    h = L / 512.0
 
-    def eig(grid: GridSpec) -> float:
-        n = grid.n_intervals
-        m = grid.n_interior
-        hh = grid.h
-        diag = np.full(m, 2.0 / hh**2)
-        diag[n // 2 - 1] -= alpha / hh  # x = 0 node
-        off = np.full(m - 1, -1.0 / hh**2)
-        vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
-        return float(vals[0])
+    def eig(n: int) -> float:
+        h = L / n
+        diag = np.full(2 * n - 1, 2.0 / h**2)
+        diag[n - 1] -= alpha / h  # x = 0 node
+        off = np.full(2 * n - 2, -1.0 / h**2)
+        return float(eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0][0])
 
-    grid = GridSpec(L, h)
-    fine_grid = grid.refined()
-    lam_c = eig(grid)
-    lam_f = eig(fine_grid)
-    return SpectralResult(
-        eigenvalue=lam_f,
-        residual_norm=0.0,
-        grid=fine_grid,
-        extrapolated=(4.0 * lam_f - lam_c) / 3.0,
-        error_estimate=abs(lam_f - lam_c) / 3.0,
-    )
-
+    lam_c, lam_f = eig(512), eig(1024)
+    return (4.0 * lam_f - lam_c) / 3.0

@@ -172,8 +172,10 @@ def quad_J(cfg: WedgeConfig, rho: float) -> QuadratureEstimate:
 def verify_thm1(cfg: WedgeConfig, rho: float) -> tuple[float, RayleighReport]:
     """Search a doubling sequence of cutoff scales until the energy is negative.
 
-    Starts at the natural transition length 1/(alpha*tan(theta)); guaranteed
-    to succeed for admissible rho, so exhaustion indicates a bug.
+    Starts at the natural transition length 1/(alpha*tan(theta)).  The energy
+    is closed_R + O(1/n), and for small rho or theta near pi/2 closed_R is so
+    close to 0 that n would have to pass ``MAX_DOUBLINGS`` doublings; the
+    search then raises ConvergenceError.
     """
     _check_rho(cfg, rho)
     n = 1.0 / (cfg.alpha * cfg.tan_theta)
@@ -182,9 +184,7 @@ def verify_thm1(cfg: WedgeConfig, rho: float) -> tuple[float, RayleighReport]:
         if report.r_value < 0.0:
             return n, report
         n *= 2.0
-    raise RuntimeError(
-        f"no negative energy found up to n={n}; this should be impossible"
-    )
+    raise ConvergenceError(f"no negative energy found up to n={n}")
 
 
 def golden_section(

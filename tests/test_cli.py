@@ -98,6 +98,15 @@ class TestVerify:
         assert res["negative_energy"] is True
         assert res["r_value"] < 0.0
 
+    @pytest.mark.parametrize(
+        "argv", [["--theta", "0.7", "--rho", "1e-300"], ["--theta", "1.5707963"]]
+    )
+    def test_exhausted_search_exit_2(self, capsys, argv):
+        # the energy's O(1/n) cutoff error hides a closed_R this close to 0
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("wedgebound: numerical failure: no negative energy found")
+
 
 class TestOptimize:
     def test_improves_on_thm2(self, capsys):
@@ -287,6 +296,16 @@ def synthetic_sweep_csv(path, thetas, mu_of_theta, alpha=1.0):
             })
 
 
+def edit_row(path, index, **cells):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[index].update(cells)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 class TestFit:
     def test_pi_half_known_slope(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -323,6 +342,44 @@ class TestFit:
         synthetic_sweep_csv(path, [1.1, 1.1, 1.1], lambda t: 1e-3)
         code, _, _ = run(capsys, "fit", str(path), "--side", "pi_half")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "side, column, value",
+        [
+            ("zero", "theta", "abc"),
+            ("pi_half", "alpha", "1e200"),  # alpha**2 overflows
+            ("zero", "lambda_fd", "inf"),
+            ("pi_half", "lambda_fd", "nan"),
+            ("zero", "alpha", "0.0"),  # lambda_fd / alpha**2
+            ("zero", "alpha", "1e-160"),  # lambda_fd / alpha**2 overflows
+        ],
+    )
+    def test_bad_cell_exit_1(self, capsys, tmp_path, side, column, value):
+        path = tmp_path / "sweep.csv"
+        synthetic_sweep_csv(path, [0.2, 0.3, 0.4], lambda t: 0.75 - 0.1 * t ** (2.0 / 3.0))
+        edit_row(path, 1, **{column: value})
+        code, out, err = run(capsys, "fit", str(path), "--side", side)
+        assert (code, out) == (1, "")
+        assert err.startswith("wedgebound: invalid input: ")
+
+    def test_rows_without_solver_value_skipped(self, capsys, tmp_path):
+        # an unused row's cells are not read, however bad
+        path = tmp_path / "sweep.csv"
+        synthetic_sweep_csv(path, [1.1, 1.2, 1.3, 1.4], lambda t: 1e-3 * t)
+        edit_row(path, 3, theta="abc", lambda_fd="")
+        code, out, _ = run(capsys, "fit", str(path), "--side", "pi_half")
+        assert code == 0
+        assert json.loads(out)["inputs"]["rows_used"] == 3
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe\x00", b"theta\n" + b"x" * 200_000])
+    def test_unreadable_table_exit_1(self, capsys, tmp_path, content):
+        # missing file (OSError), not UTF-8, a field over csv's size limit
+        path = tmp_path / "sweep.csv"
+        if content is not None:
+            path.write_bytes(content)
+        code, out, err = run(capsys, "fit", str(path), "--side", "zero")
+        assert (code, out) == (1, "")
+        assert err.startswith("wedgebound: invalid input: cannot read table ")
 
     def test_missing_columns_exit_1(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

@@ -42,53 +42,70 @@ def reflection(m: int) -> sp.csr_matrix:
 
 class TestGridSpec:
     def test_valid(self):
-        g = GridSpec(L=8.0, h=0.125)
-        assert g.n_intervals == 128
+        g = GridSpec(L=8.0, n=64)
+        assert g.h == 0.125
         assert g.n_interior == 127
 
-    def test_rejects_non_divisor(self):
-        with pytest.raises(DomainError):
-            GridSpec(L=8.0, h=0.3)
+    def test_rejects_non_integer(self):
+        # a spacing that does not divide L cannot be written; n must be an int
+        for n in (64.5, 64.0, True, np.int64(64)):
+            with pytest.raises(DomainError):
+                GridSpec(L=8.0, n=n)
 
     def test_rejects_coarse(self):
         with pytest.raises(DomainError):
-            GridSpec(L=8.0, h=0.25)  # L/h = 32 < 64
+            GridSpec(L=8.0, n=32)
+
+    @pytest.mark.parametrize("L", [0.0, -8.0, math.inf, math.nan])
+    def test_rejects_bad_box(self, L):
+        with pytest.raises(DomainError):
+            GridSpec(L=L, n=64)
 
     def test_refine_and_enlarge(self):
-        g = GridSpec(L=8.0, h=0.125)
-        assert g.refined().n_intervals == 256
-        assert g.enlarged().n_intervals == g.n_intervals
+        g = GridSpec(L=8.0, n=64)
+        assert g.refined() == GridSpec(8.0, 128)
+        assert g.enlarged() == GridSpec(16.0, 64)
+        assert g.enlarged().n_interior == g.n_interior
+
+    @given(L=st.floats(1e-3, 1e6), n=st.integers(64, 4096))
+    @settings(max_examples=200, deadline=None)
+    def test_refine_and_enlarge_spacing_exact(self, L, n):
+        # solve's grid ladder h, h/2, h/4 and the doubled box rest on this
+        g = GridSpec(L, n)
+        assert g.refined().h == g.h / 2
+        assert g.enlarged().h == 2 * g.h
+        assert g.refined().refined().h == (L / n) / 4
 
 
 class TestAssemble:
     def test_laplacian_ground_state(self):
-        g = GridSpec(L=8.0, h=8.0 / 64)
+        g = GridSpec(L=8.0, n=64)
         res = lowest_eigenvalue(dirichlet_laplacian(g), shift=-0.5)
         assert res.eigenvalue == pytest.approx(2.0 * (math.pi / 16.0) ** 2, rel=1e-3)
         assert res.eigenvalue > 0.0
 
     def test_exact_symmetry(self):
-        H = assemble(WedgeConfig(0.7, 1.0), GridSpec(12.0, 12.0 / 64))
+        H = assemble(WedgeConfig(0.7, 1.0), GridSpec(12.0, 64))
         assert abs(H - H.T).max() == 0.0
 
     def test_reflection_commutes(self):
-        g = GridSpec(12.0, 12.0 / 64)
+        g = GridSpec(12.0, 64)
         H = assemble(WedgeConfig(0.7, 1.0), g)
         P = reflection(g.n_interior)
         assert abs(H @ P - P @ H).max() == 0.0
 
     def test_too_coarse_ray_sampling(self):
-        # a ray runs at least L inside the box, so the L/h >= 64 invariant
+        # a ray runs at least L inside the box, so the n >= 64 invariant
         # already gives it 64 samples; check the small-box guard instead.
         with pytest.raises(DomainError):
-            assemble(WedgeConfig(0.7, 0.1), GridSpec(12.0, 12.0 / 64))
+            assemble(WedgeConfig(0.7, 0.1), GridSpec(12.0, 64))
 
     @given(theta=st.floats(0.2, 1.5), alpha=st.floats(0.5, 3.0))
     @settings(max_examples=30, deadline=None)
     def test_z_matrix(self, theta, alpha):
         # the shift certificate of lowest_eigenvalue rests on this
         L = 8.0 / alpha
-        g = GridSpec(L, L / 64)  # the coarsest grid GridSpec allows
+        g = GridSpec(L, 64)  # the coarsest grid GridSpec allows
         H = assemble(WedgeConfig(theta, alpha), g)
         P = _even_isometry(g.n_interior)
         assert not _has_positive_off_diagonal(H)
@@ -99,7 +116,7 @@ class TestAssemble:
         assert (H[idx][:, idx] != H).nnz == 0
 
     def test_delta_term_negative_semidefinite_direction(self):
-        g = GridSpec(12.0, 12.0 / 64)
+        g = GridSpec(12.0, 64)
         D = delta_line_matrix(WedgeConfig(0.9, 1.0), g)
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -109,20 +126,20 @@ class TestAssemble:
 
 class TestLowestEigenvalue:
     def test_residual_small(self):
-        g = GridSpec(12.0, 12.0 / 128)
+        g = GridSpec(12.0, 128)
         res = lowest_eigenvalue(assemble(WedgeConfig(PI_4, 1.0), g), shift=-2.0)
         assert res.residual_norm <= 1e-8 * abs(res.eigenvalue)
         assert res.eigenvalue < -0.25
 
     def test_mirror_symmetric_ground_state(self):
-        g = GridSpec(12.0, 12.0 / 128)
+        g = GridSpec(12.0, 128)
         res = lowest_eigenvalue(assemble(WedgeConfig(0.8, 1.0), g), shift=-2.0)
         v = res.eigenvector
         P = reflection(g.n_interior)
         assert np.linalg.norm(v - P @ v) <= 1e-6 * np.linalg.norm(v)
 
     def test_deterministic(self):
-        g = GridSpec(12.0, 12.0 / 64)
+        g = GridSpec(12.0, 64)
         H = assemble(WedgeConfig(0.8, 1.0), g)
         r1 = lowest_eigenvalue(H, shift=-2.0)
         r2 = lowest_eigenvalue(H, shift=-2.0)
@@ -131,7 +148,7 @@ class TestLowestEigenvalue:
     @pytest.fixture(scope="class")
     def spectrum(self):
         # lambda_0 = -0.2541 and lambda_1 = -0.1905 on this grid
-        g = GridSpec(12.0, 12.0 / 128)
+        g = GridSpec(12.0, 128)
         H = assemble(WedgeConfig(PI_4, 1.0), g)
         lams = eigsh(H, k=2, sigma=-2.0, which="LM", return_eigenvectors=False)
         return H, g, sorted(lams)
@@ -152,7 +169,7 @@ class TestLowestEigenvalue:
         assert res.shift < lam0
 
     def test_rejects_positive_off_diagonal(self):
-        g = GridSpec(12.0, 12.0 / 64)
+        g = GridSpec(12.0, 64)
         H = assemble(WedgeConfig(PI_4, 1.0), g).tolil()
         H[0, 1] = H[1, 0] = 1e-3
         with pytest.raises(DomainError):
@@ -160,7 +177,7 @@ class TestLowestEigenvalue:
 
     def test_previous_level_shift_saves_solves(self):
         cfg = WedgeConfig(PI_4, 1.0)
-        coarse = GridSpec(48.0, 0.75)
+        coarse = GridSpec(48.0, 64)
         lam = lowest_eigenvalue(assemble(cfg, coarse), shift=-2.0).eigenvalue
         H = assemble(cfg, coarse.refined())
         fixed = lowest_eigenvalue(H, shift=-2.0)
@@ -172,13 +189,12 @@ class TestLowestEigenvalue:
 
 class TestDeltaWell1D:
     def test_calibration(self):
-        res = delta_well_1d(1.0)
-        assert res.extrapolated == pytest.approx(-0.25, rel=2e-3)
-        assert abs(res.extrapolated - -0.25) <= 0.002 * 0.25
+        lam = delta_well_1d(1.0)
+        assert lam == pytest.approx(-0.25, rel=2e-3)
+        assert abs(lam - -0.25) <= 0.002 * 0.25
 
     def test_coupling_scaling(self):
-        res = delta_well_1d(2.0)
-        assert res.extrapolated == pytest.approx(-1.0, rel=2e-3)
+        assert delta_well_1d(2.0) == pytest.approx(-1.0, rel=2e-3)
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +236,7 @@ class TestEvenSubspace:
     @pytest.fixture(scope="class")
     def reduced(self):
         cfg = WedgeConfig(PI_4, 1.0)
-        g = GridSpec(12.0, 12.0 / 64)
+        g = GridSpec(12.0, 64)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "MAX_ENLARGEMENTS", 0)
             return cfg, g, solve(cfg, L=g.L, h=g.h)
@@ -231,7 +247,7 @@ class TestEvenSubspace:
         monkeypatch.setattr(spectral, "MAX_ENLARGEMENTS", 0)
         for theta, alpha in itertools.product((0.3, PI_4, 1.3), (1.0, 2.0)):
             cfg = WedgeConfig(theta, alpha)
-            g = GridSpec(12.0, 12.0 / 64)
+            g = GridSpec(12.0, 64)
             res = solve(cfg, L=g.L, h=g.h)
             for lam in res.grid_eigenvalues:
                 H = assemble(cfg, g)
@@ -247,10 +263,27 @@ class TestEvenSubspace:
         # the even subspace holds the lowest eigenvalue of the full grid
         cfg = WedgeConfig(theta, alpha)
         L = 8.0 / alpha
-        g = GridSpec(L, L / 64)
+        g = GridSpec(L, 64)
         even = _solve_level(cfg, g, -2.0 * alpha**2)
         full = lowest_eigenvalue(assemble(cfg, g), -2.0 * alpha**2)
         assert even.eigenvalue == pytest.approx(full.eigenvalue, rel=1e-9, abs=0.0)
+
+    def test_mirror_asymmetric_operator_fails_full_residual(self, monkeypatch):
+        # a symmetric Z-matrix that is not mirror symmetric: the even-subspace
+        # eigenpair passes lowest_eigenvalue's check, its lift must not pass
+        mirror_symmetric = spectral.assemble
+
+        def asymmetric(cfg, grid):
+            H = mirror_symmetric(cfg, grid).tolil()
+            m = grid.n_interior
+            a = (m // 2) * m + m // 2 + 2  # node (0, 2h), off the bisector
+            H[a, a + 1] -= 0.5
+            H[a + 1, a] -= 0.5
+            return H.tocsr()
+
+        monkeypatch.setattr(spectral, "assemble", asymmetric)
+        with pytest.raises(ConvergenceError, match="residual"):
+            _solve_level(WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64), -2.0)
 
     def test_lifted_eigenvector(self, reduced):
         cfg, _, res = reduced
@@ -265,7 +298,7 @@ class TestEvenSubspace:
 class TestSolverFailures:
     @pytest.fixture(scope="class")
     def H(self):
-        return assemble(WedgeConfig(PI_4, 1.0), GridSpec(12.0, 12.0 / 64))
+        return assemble(WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64))
 
     def test_arpack_failure_is_convergence_error(self, H, monkeypatch):
         def no_convergence(*args, **kwargs):
