@@ -1,5 +1,11 @@
 """Variational eigenvalue bounds for the broken-line delta-interaction
-Schrodinger operator, with an independent finite-difference cross-check."""
+Schrodinger operator, with an independent finite-difference cross-check.
+
+The finite-difference names (``GridSpec``, ``SpectralResult``, ``assemble``,
+``delta_well_1d``, ``lowest_eigenvalue``, ``solve``) load ``spectral``, and
+with it SciPy, on first access; the bound and the Rayleigh quotients need
+neither.
+"""
 
 from .trial import (
     BoundReport,
@@ -15,13 +21,14 @@ from .trial import (
 )
 from .quadrature import ConvergenceError, QuadratureEstimate, integrate
 from .variational import RayleighReport, optimize_bound, quad_J, rayleigh, verify_thm1
-from .spectral import (
-    GridSpec,
-    SpectralResult,
-    assemble,
-    delta_well_1d,
-    lowest_eigenvalue,
-    solve,
+
+_SPECTRAL_NAMES = (
+    "GridSpec",
+    "SpectralResult",
+    "assemble",
+    "delta_well_1d",
+    "lowest_eigenvalue",
+    "solve",
 )
 
 __version__ = "0.1.0"
@@ -52,3 +59,15 @@ __all__ = [
     "solve",
     "verify_thm1",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SPECTRAL_NAMES:
+        from . import spectral
+
+        return getattr(spectral, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SPECTRAL_NAMES))

@@ -3,7 +3,8 @@
 All outputs are deterministic for a given invocation; JSON reports carry a
 pinned schema version and floats serialize via shortest round-trip decimals.
 Each ``cmd_*`` returns its report's inputs and results; ``main`` wraps them
-in the report and emits it, only once the command has succeeded.
+in the report and emits it, only once the command has succeeded.  The FD
+solver, and with it SciPy, is imported only when a command solves.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from .quadrature import ConvergenceError
-from .spectral import solve
 from .trial import (
     DomainError,
     TrialParams,
@@ -66,10 +67,30 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
         lines = [",".join(keys)] + [",".join(_fmt(row[k]) for k in keys) for row in rows]
         text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path: str | None) -> None:
+    """Refuse an --out path that cannot be written, before the command runs;
+    creates and truncates nothing."""
+    if not path:
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise DomainError(f"cannot write --out {path}: {reason}")
 
 
 def _theta(args) -> float:
@@ -133,6 +154,14 @@ def cmd_optimize(args) -> tuple[dict, dict]:
         "margin": rep.margin,
         "bound_thm2": -cfg.alpha**2 * (0.25 + lambda_upper(cfg.theta)),
     }
+
+
+def solve(cfg: WedgeConfig, L: float | None, h: float | None):
+    """``spectral.solve``, imported on the first call so that only the
+    commands that solve load SciPy."""
+    from . import spectral
+
+    return spectral.solve(cfg, L=L, h=h)
 
 
 def cmd_solve(args) -> tuple[dict, dict]:
@@ -316,16 +345,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_out(args.out)
         inputs, results = args.func(args)
+        report = {"schema": SCHEMA_VERSION, "command": args.command, "inputs": inputs,
+                  "results": results}
+        _emit(report, args.format, args.out)
     except DomainError as exc:
         print(f"wedgebound: invalid input: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:
         print(f"wedgebound: numerical failure: {exc}", file=sys.stderr)
         return 2
-    report = {"schema": SCHEMA_VERSION, "command": args.command, "inputs": inputs,
-              "results": results}
-    _emit(report, args.format, args.out)
     return 0
 
 

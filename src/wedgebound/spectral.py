@@ -27,6 +27,7 @@ the iteration runs, so the eigenvalue found is the lowest one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -413,9 +414,12 @@ def delta_well_1d(alpha: float) -> float:
 
     def eig(n: int) -> float:
         h = L / n
-        diag = np.full(2 * n - 1, 2.0 / h**2)
+        h2 = _pow(h, 2)
+        if not h2 >= sys.float_info.min:  # a subnormal h^2 has lost digits
+            raise DomainError(f"alpha = {alpha} makes h^2 = {h2} underflow a normal float")
+        diag = np.full(2 * n - 1, 2.0 / h2)
         diag[n - 1] -= alpha / h  # x = 0 node
-        off = np.full(2 * n - 2, -1.0 / h**2)
+        off = np.full(2 * n - 2, -1.0 / h2)
         return float(eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0][0])
 
     lam_c, lam_f = eig(512), eig(1024)

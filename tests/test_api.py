@@ -1,6 +1,16 @@
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import wedgebound
 from wedgebound import quad_J, quadrature, spectral, trial, variational
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every optional parameter of a public function; a new one is a new knob
 # that each caller, test and benchmark must cover
@@ -30,3 +40,31 @@ def test_quadrature_knows_only_the_error_type_of_trial():
     }
     assert from_trial == {"DomainError"}
     assert quad_J.__module__ == variational.__name__
+
+
+def test_closed_form_commands_load_no_solver():
+    # bound and the Rayleigh quotients need no eigensolver, so a command
+    # that does not solve must not pay for importing SciPy
+    script = """
+import json, sys
+from wedgebound import cli
+codes = [cli.main(["bound", "--theta", "0.7"]), cli.main(["optimize", "--theta", "0.7"])]
+loaded = sorted(m for m in sys.modules
+                if m == "scipy" or m.startswith("scipy.") or m == "wedgebound.spectral")
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"codes": [0, 0], "loaded": []}
+
+
+def test_spectral_names_resolve_on_access():
+    assert wedgebound.solve is spectral.solve
+    from wedgebound import GridSpec
+
+    assert GridSpec is spectral.GridSpec
+    with pytest.raises(AttributeError):
+        wedgebound.no_such_name
+    assert set(wedgebound.__all__) <= set(dir(wedgebound))

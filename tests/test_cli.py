@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -163,6 +164,80 @@ class TestSolve:
         inputs = json.loads(out)["inputs"]
         ratio = inputs["box"] / inputs["spacing"]
         assert ratio == round(ratio)
+
+
+STUB_SOLVE = SimpleNamespace(
+    grid=SimpleNamespace(L=12.0, h=0.125),
+    eigenvalue=-0.3,
+    extrapolated=-0.31,
+    error_estimate=0.001,
+    residual_norm=1e-12,
+    boundary_mass=1e-9,
+    enlargements=0,
+)
+
+SWEEP_WITH_SOLVER = ["sweep", "--theta-min", "0.6", "--theta-max", "0.8", "--theta-steps", "3",
+                     "--with-solver", "--box", "12", "--spacing", "0.125"]
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Replace ``cli.solve``, the one call through which commands reach the
+    FD solver, with a recorder returning a stub result."""
+    calls = []
+
+    def recorder(cfg, L, h):
+        calls.append((cfg.theta, L, h))
+        return STUB_SOLVE
+
+    monkeypatch.setattr(cli, "solve", recorder)
+    return calls
+
+
+class TestSolverSeam:
+    def test_solve_calls_cli_solve(self, capsys, solve_calls):
+        code, out, _ = run(capsys, "solve", "--theta", "0.7", "--box", "12", "--spacing", "0.125")
+        assert code == 0
+        assert solve_calls == [(0.7, 12.0, 0.125)]
+        assert json.loads(out)["results"]["extrapolated"] == STUB_SOLVE.extrapolated
+
+    def test_sweep_with_solver_calls_cli_solve(self, capsys, solve_calls):
+        code, out, _ = run(capsys, *SWEEP_WITH_SOLVER)
+        assert code == 0
+        assert [L for _, L, _ in solve_calls] == [12.0] * 3
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [float(r["lambda_fd"]) for r in rows] == [STUB_SOLVE.extrapolated] * 3
+
+
+class TestOut:
+    def test_missing_directory_refused_before_the_work(self, capsys, tmp_path, solve_calls):
+        path = tmp_path / "missing" / "table.csv"
+        code, out, err = run(capsys, *SWEEP_WITH_SOLVER, "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"wedgebound: invalid input: cannot write --out {path}: ")
+        assert solve_calls == []
+        assert not path.parent.exists()
+
+    def test_directory_refused(self, capsys, tmp_path):
+        code, _, err = run(capsys, "bound", "--theta", "0.7", "--out", str(tmp_path))
+        assert code == 1
+        assert err == f"wedgebound: invalid input: cannot write --out {tmp_path}: it is a directory\n"
+
+    def test_failed_command_keeps_existing_file(self, capsys, tmp_path):
+        path = tmp_path / "report.out"
+        path.write_text("earlier report\n")
+        code, _, _ = run(capsys, "bound", "--theta", "2.0", "--out", str(path))
+        assert code == 1
+        assert path.read_text() == "earlier report\n"
+
+    def test_write_error_exit_1(self, capsys, tmp_path, monkeypatch):
+        # the directory vanishes between the check and the write
+        monkeypatch.setattr(cli, "_check_out", lambda path: None)
+        path = tmp_path / "gone" / "report.out"
+        code, out, err = run(capsys, "bound", "--theta", "0.7", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"wedgebound: invalid input: cannot write --out {path}: ")
+        assert not path.exists()
 
 
 class TestSweep:

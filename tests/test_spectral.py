@@ -196,6 +196,11 @@ class TestDeltaWell1D:
     def test_coupling_scaling(self):
         assert delta_well_1d(2.0) == pytest.approx(-1.0, rel=2e-3)
 
+    @pytest.mark.parametrize("alpha", [1e-300, 1e200])  # h^2 overflows, underflows
+    def test_spacing_out_of_float_range(self, alpha):
+        with pytest.raises(DomainError):
+            delta_well_1d(alpha)
+
 
 @pytest.fixture(scope="module")
 def quarter():
