@@ -2,9 +2,8 @@
 Schrodinger operator, with an independent finite-difference cross-check.
 
 The finite-difference names (``GridSpec``, ``SpectralResult``, ``assemble``,
-``delta_well_1d``, ``lowest_eigenvalue``, ``solve``) load ``spectral``, and
-with it SciPy, on first access; the bound and the Rayleigh quotients need
-neither.
+``lowest_eigenvalue``, ``solve``) load ``spectral``, and with it SciPy, on
+first access; the bound and the Rayleigh quotients need neither.
 """
 
 from .trial import (
@@ -15,9 +14,7 @@ from .trial import (
     bound_constants,
     closed_J,
     closed_R,
-    g_rho,
     lambda_upper,
-    profile_F,
 )
 from .quadrature import ConvergenceError, QuadratureEstimate, integrate
 from .variational import RayleighReport, optimize_bound, quad_J, rayleigh, verify_thm1
@@ -26,7 +23,6 @@ _SPECTRAL_NAMES = (
     "GridSpec",
     "SpectralResult",
     "assemble",
-    "delta_well_1d",
     "lowest_eigenvalue",
     "solve",
 )
@@ -47,13 +43,10 @@ __all__ = [
     "bound_constants",
     "closed_J",
     "closed_R",
-    "delta_well_1d",
-    "g_rho",
     "integrate",
     "lambda_upper",
     "lowest_eigenvalue",
     "optimize_bound",
-    "profile_F",
     "quad_J",
     "rayleigh",
     "solve",

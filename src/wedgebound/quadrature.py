@@ -45,11 +45,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureEstimate:
-    """Integral and error estimate: floats, or one entry per component of a
-    stacked integrand."""
+    """Integral, error estimate and the tolerance the estimate is judged
+    against: floats, or one entry per component of a stacked integrand."""
 
     value: float | np.ndarray
     abs_error_estimate: float | np.ndarray
+    tolerance: float | np.ndarray
     evaluations: int
     converged: bool
 
@@ -78,11 +79,12 @@ def integrate(
     independently, so kinks never sit inside a panel.  All components share
     one refinement tree: a panel is bisected while any component's error
     estimate on it exceeds its share of ``ABS_TOL + REL_TOL * (integral of
-    |f_k|)``.  ``value`` and ``abs_error_estimate`` are floats for a scalar
-    integrand and arrays of k entries for a stack; ``evaluations`` counts
-    abscissae, not component values.  The estimate has converged when
-    refinement ended within ``BUDGET`` evaluations and every component's
-    summed error estimate is within its tolerance.
+    |f_k|)``.  ``value``, ``abs_error_estimate`` and ``tolerance``, that
+    expression over the whole interval, are floats for a scalar integrand
+    and arrays of k entries for a stack; ``evaluations`` counts abscissae,
+    not component values.  The estimate has converged when refinement ended
+    within ``BUDGET`` evaluations and every component's summed error
+    estimate is within its tolerance.
 
     The integrand must be smooth on each panel.  The tolerance share of a
     panel halves with each bisection, so an integrable endpoint singularity
@@ -132,12 +134,14 @@ def integrate(
         share = np.tile(share[split] / 2.0, 2)
         whole = np.concatenate([left[:, split], right[:, split]], axis=-1)
 
-    converged = ok and bool(np.all(err <= ABS_TOL + REL_TOL * l1_mass))
+    tol = ABS_TOL + REL_TOL * l1_mass
+    converged = ok and bool(np.all(err <= tol))
     if not stacked:
-        value, err = float(value[0]), float(err[0])
+        value, err, tol = float(value[0]), float(err[0]), float(tol[0])
     return QuadratureEstimate(
         value=value,
         abs_error_estimate=err,
+        tolerance=tol,
         evaluations=evaluations,
         converged=converged,
     )

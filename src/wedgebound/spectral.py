@@ -27,12 +27,10 @@ the iteration runs, so the eigenvalue found is the lowest one.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .quadrature import ConvergenceError
@@ -46,7 +44,6 @@ __all__ = [
     "delta_line_matrix",
     "lowest_eigenvalue",
     "solve",
-    "delta_well_1d",
 ]
 
 BOUNDARY_MASS_LIMIT = 1e-10
@@ -398,29 +395,3 @@ def solve(
     result.enlargements = enlargements
     result.grid_eigenvalues = lams
     return result
-
-
-def delta_well_1d(alpha: float) -> float:
-    """Calibration path: 1D well -u'' - alpha*delta(0) on [-L, L], Dirichlet.
-
-    Discretized the same way as the 2D form (3-point stencil, -alpha/h at
-    the origin node) with L = 16/alpha and 512, then 1024, intervals per
-    half-width; returns the Richardson extrapolation of the two eigenvalues.
-    The continuum eigenvalue is -alpha^2/4.
-    """
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
-    L = 16.0 / alpha
-
-    def eig(n: int) -> float:
-        h = L / n
-        h2 = _pow(h, 2)
-        if not h2 >= sys.float_info.min:  # a subnormal h^2 has lost digits
-            raise DomainError(f"alpha = {alpha} makes h^2 = {h2} underflow a normal float")
-        diag = np.full(2 * n - 1, 2.0 / h2)
-        diag[n - 1] -= alpha / h  # x = 0 node
-        off = np.full(2 * n - 2, -1.0 / h2)
-        return float(eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0][0])
-
-    lam_c, lam_f = eig(512), eig(1024)
-    return (4.0 * lam_f - lam_c) / 3.0

@@ -2,9 +2,12 @@
 
 The geometry is a wedge: two rays from the origin at half-angle ``theta``
 carrying an attractive delta-interaction of strength ``alpha``.  Everything
-in this module is an explicit formula.  The integrals of the trial family
-live in :mod:`wedgebound.variational`: its Rayleigh quotients compute the
-optimized bound by quadrature, and its ``quad_J`` checks the closed form J.
+in this module is an explicit formula.  The trial family is
+exp(-alpha*|x1|/2) * F(x2*tan(theta))**rho * chi(x2/n), and
+``log_profile_F`` is the package's one implementation of its profile F.
+The integrals of the trial family live in :mod:`wedgebound.variational`:
+its Rayleigh quotients compute the optimized bound by quadrature, and its
+``quad_J`` checks the closed form J.
 """
 
 from __future__ import annotations
@@ -19,11 +22,7 @@ __all__ = [
     "WedgeConfig",
     "TrialParams",
     "BoundReport",
-    "profile_F",
-    "profile_F_slope",
     "log_profile_F",
-    "g_rho",
-    "g_rho_slope",
     "closed_R",
     "closed_J",
     "lambda_upper",
@@ -58,7 +57,10 @@ class WedgeConfig:
 
     @property
     def cot_sq_theta(self) -> float:
-        return _pow(math.cos(self.theta) / math.sin(self.theta), 2)
+        cot = math.cos(self.theta) / math.sin(self.theta)
+        if cot == math.inf:  # a subnormal theta; inf**2 would not raise
+            raise DomainError(f"cot(theta) overflows a float at theta = {self.theta}")
+        return _pow(cot, 2)
 
 
 @dataclass(frozen=True)
@@ -73,10 +75,6 @@ class TrialParams:
             raise DomainError(
                 f"rho and n must be positive and finite, got rho={self.rho}, n={self.n}"
             )
-
-    def check(self, cfg: WedgeConfig) -> None:
-        """Enforce the config-dependent constraint rho < cot^2(theta)."""
-        _check_rho(cfg, self.rho)
 
 
 def _check_rho(cfg: WedgeConfig, rho: float) -> None:
@@ -118,58 +116,16 @@ def _pow(base: float, exponent: float) -> float:
         raise DomainError(f"{base}**{exponent} overflows a float") from None
 
 
-def profile_F(t: float, alpha: float) -> float:
-    """Cumulative integral of exp(-alpha*|x|) up to ``t``.
-
-    F(0) = 1/alpha exactly; monotone non-decreasing with range (0, 2/alpha).
-    """
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if t > 0.0:
-        return 2.0 / alpha - math.exp(-alpha * t) / alpha
-    if t < 0.0:
-        return math.exp(alpha * t) / alpha
-    return 1.0 / alpha
-
-
-def profile_F_slope(t: float, alpha: float) -> float:
-    """Derivative exp(-alpha*|t|) of :func:`profile_F`."""
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    return math.exp(-alpha * abs(t))
-
-
 def log_profile_F(t: np.ndarray, alpha: float) -> np.ndarray:
-    """Natural log of :func:`profile_F`, elementwise on an array.
+    """Natural log of the profile F(t), the integral of exp(-alpha*|s|)
+    over s < t, elementwise on an array.
 
-    Finite for every finite ``t``, so powers of F formed as exp(p*log F)
+    F(0) = 1/alpha, and F increases from 0 to 2/alpha.  The log is finite
+    for every finite ``t``, so powers of F formed as exp(p*log F)
     cannot underflow to 0 and turn 0**(negative) into inf or NaN.
     """
     at = np.abs(t)
     return np.where(t < 0.0, -alpha * at, np.log(2.0 - np.exp(-alpha * at))) - math.log(alpha)
-
-
-def g_rho(x2: float, cfg: WedgeConfig, rho: float) -> float:
-    """Power profile F(x2*tan(theta))**rho along the free coordinate."""
-    if not rho > 0.0:
-        raise DomainError(f"rho must be positive, got {rho}")
-    return profile_F(x2 * cfg.tan_theta, cfg.alpha) ** rho
-
-
-def g_rho_slope(x2: float, cfg: WedgeConfig, rho: float) -> float:
-    """Analytic derivative of :func:`g_rho` with respect to x2."""
-    if not rho > 0.0:
-        raise DomainError(f"rho must be positive, got {rho}")
-    t = x2 * cfg.tan_theta
-    f = profile_F(t, cfg.alpha)
-    if f == 0.0:  # deep-tail underflow of F; the true slope is below 1e-300
-        return 0.0
-    # combine F**(rho-1) and F' = exp(-alpha*|t|) in log space: for rho < 1
-    # either factor alone can over/underflow while the product stays tame
-    lg = (rho - 1.0) * math.log(f) - cfg.alpha * abs(t)
-    if lg < -745.0:
-        return 0.0
-    return rho * math.exp(lg) * cfg.tan_theta
 
 
 def closed_R(cfg: WedgeConfig, rho: float) -> float:

@@ -1,7 +1,8 @@
 """Rayleigh quotients of the cut-off trial family and parameter search.
 
 The trial function separates as exp(-alpha*|x1|/2) * h(x2) with
-h = g_rho * chi(./n), so every quantity reduces to a 1D integral in x2.
+h = F(x2*tan(theta))**rho * chi(x2/n), so every quantity reduces to a 1D
+integral in x2.
 The Rayleigh quotient is the ratio of two such integrals of the same
 profile, the energy functional R and the squared norm N; rayleigh()
 integrates them as the two components of one stacked integrand, so the
@@ -33,7 +34,6 @@ __all__ = [
     "quad_J",
     "verify_thm1",
     "optimize_bound",
-    "golden_section",
 ]
 
 #: Beyond this multiple of the natural length scale the quotient is within
@@ -42,27 +42,30 @@ N_MAX_SCALE = 1e4
 #: verify_thm1 gives up after this many doublings of the cutoff scale.
 MAX_DOUBLINGS = 60
 #: optimize_bound's cap on coordinate-descent sweeps, and its relative
-#: tolerance for both golden_section's line searches and the per-sweep gain.
+#: tolerance for both _golden_section's line searches and the per-sweep gain.
 MAX_SWEEPS = 30
 OPT_REL_TOL = 1e-6
-#: golden_section's iteration cap.
+#: _golden_section's iteration cap.
 GOLDEN_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
 class RayleighReport:
-    """Energy functional, squared norm and the resulting Rayleigh quotient."""
+    """Energy functional, squared norm and the resulting Rayleigh quotient,
+    with the quadrature tolerance that ``r_value`` converged within."""
 
     r_value: float
     norm_sq: float
     quotient: float
     margin: float
+    r_tolerance: float
 
 
 def _trial_profile(cfg: WedgeConfig, params: TrialParams, x: np.ndarray):
     """h, h', F and F' at the abscissae x, with F and F' taken at x*tan(theta).
 
-    h = g_rho * chi(x/n) with the tent cutoff chi(s) = clip(2 - |s|, 0, 1).
+    h = F(x*tan(theta))**rho * chi(x/n) with the tent cutoff
+    chi(s) = clip(2 - |s|, 0, 1).
     """
     alpha, tan_t, rho, n = cfg.alpha, cfg.tan_theta, params.rho, params.n
     t = x * tan_t
@@ -107,8 +110,10 @@ def rayleigh(cfg: WedgeConfig, params: TrialParams) -> RayleighReport:
     converges to closed_R(cfg, rho) as n grows, with O(1/n) error from the
     cutoff wings, and is reported without sign judgment.  An integrand or
     squared norm out of normal float range, as at extreme alpha, is invalid.
+    A quotient below -alpha^2, a lower bound of the operator's spectrum, is
+    a numerical failure.
     """
-    params.check(cfg)
+    _check_rho(cfg, params.rho)
     cot_t = 1.0 / cfg.tan_theta
 
     def integrand(x: np.ndarray) -> np.ndarray:
@@ -125,11 +130,18 @@ def rayleigh(cfg: WedgeConfig, params: TrialParams) -> RayleighReport:
     if not ns >= sys.float_info.min:  # a subnormal norm has lost digits
         raise DomainError(f"the squared norm {ns} underflows a normal float")
     ratio = r / ns
+    alpha_sq = _pow(cfg.alpha, 2)
+    quotient = -alpha_sq / 4.0 + ratio
+    # the rays lie in lines l1, l2, and -Delta - alpha*delta_rays >=
+    # sum_k (-Delta - 2*alpha*delta_lk)/2 >= 2*(-alpha^2/2)
+    if quotient < -alpha_sq:
+        raise ConvergenceError(f"Rayleigh quotient {quotient} is below -alpha^2 = {-alpha_sq}")
     return RayleighReport(
         r_value=r,
         norm_sq=ns,
-        quotient=-_pow(cfg.alpha, 2) / 4.0 + ratio,
+        quotient=quotient,
         margin=-ratio,
+        r_tolerance=float(est.tolerance[0]),
     )
 
 
@@ -172,22 +184,23 @@ def quad_J(cfg: WedgeConfig, rho: float) -> QuadratureEstimate:
 def verify_thm1(cfg: WedgeConfig, rho: float) -> tuple[float, RayleighReport]:
     """Search a doubling sequence of cutoff scales until the energy is negative.
 
-    Starts at the natural transition length 1/(alpha*tan(theta)).  The energy
-    is closed_R + O(1/n), and for small rho or theta near pi/2 closed_R is so
-    close to 0 that n would have to pass ``MAX_DOUBLINGS`` doublings; the
-    search then raises ConvergenceError.
+    Starts at the natural transition length 1/(alpha*tan(theta)).  An energy
+    counts as negative only below minus its quadrature tolerance, so its
+    sign is certified.  The energy is closed_R + O(1/n), and for small rho
+    or theta near pi/2 closed_R is so close to 0 that n would have to pass
+    ``MAX_DOUBLINGS`` doublings; the search then raises ConvergenceError.
     """
     _check_rho(cfg, rho)
     n = 1.0 / (cfg.alpha * cfg.tan_theta)
     for _ in range(MAX_DOUBLINGS + 1):
         report = rayleigh(cfg, TrialParams(rho=rho, n=n))
-        if report.r_value < 0.0:
+        if report.r_value < -report.r_tolerance:
             return n, report
         n *= 2.0
     raise ConvergenceError(f"no negative energy found up to n={n}")
 
 
-def golden_section(
+def _golden_section(
     f: Callable[[float], float],
     a: float,
     b: float,
@@ -240,11 +253,11 @@ def optimize_bound(cfg: WedgeConfig) -> tuple[TrialParams, RayleighReport]:
     best = (rho, n)
     for _ in range(MAX_SWEEPS):
         prev_q = best_q
-        rho, q = golden_section(lambda r: quotient(r, best[1]), rho_lo, rho_hi)
+        rho, q = _golden_section(lambda r: quotient(r, best[1]), rho_lo, rho_hi)
         if q < best_q:
             best_q, best = q, (rho, best[1])
         # search over log(n): the optimum scale spans orders of magnitude
-        s, q = golden_section(
+        s, q = _golden_section(
             lambda t: quotient(best[0], math.exp(t)),
             math.log(n_lo),
             math.log(n_hi),

@@ -16,7 +16,6 @@ from wedgebound import (
     WedgeConfig,
     bound_constants,
     closed_R,
-    delta_well_1d,
     lambda_upper,
     optimize_bound,
     quad_J,
@@ -24,7 +23,7 @@ from wedgebound import (
     solve,
     verify_thm1,
 )
-from conftest import record_criterion
+from conftest import delta_well_1d, record_criterion
 
 PI_4 = math.pi / 4
 
@@ -128,7 +127,7 @@ def test_criterion_6_theorem_2_quotients():
 
 
 def test_criterion_7_solver_calibration(fd):
-    rel1d = abs(delta_well_1d(1.0) + 0.25) / 0.25
+    rel1d = abs(delta_well_1d() + 0.25) / 0.25
     res2d = fd(math.pi / 2, L=16.0)
     rel2d = abs(res2d.extrapolated + 0.25) / 0.25
     ok = rel1d <= 0.002 and rel2d <= 0.01

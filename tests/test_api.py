@@ -16,6 +16,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # that each caller, test and benchmark must cover
 OPTIONAL_PARAMETERS = {("integrate", "breakpoints"), ("solve", "L"), ("solve", "h")}
 
+# the package's public names: what the commands run, and nothing else
+PUBLIC_NAMES = {
+    "BoundReport", "ConvergenceError", "DomainError", "GridSpec", "QuadratureEstimate",
+    "RayleighReport", "SpectralResult", "TrialParams", "WedgeConfig", "assemble",
+    "bound_constants", "closed_J", "closed_R", "integrate", "lambda_upper",
+    "lowest_eigenvalue", "optimize_bound", "quad_J", "rayleigh", "solve", "verify_thm1",
+}
+
 
 def test_optional_parameters_are_pinned():
     found = set()
@@ -28,6 +36,14 @@ def test_optional_parameters_are_pinned():
                 if param.default is not inspect.Parameter.empty:
                     found.add((name, param.name))
     assert found == OPTIONAL_PARAMETERS
+
+
+def test_public_names_are_pinned():
+    assert sorted(wedgebound.__all__) == sorted(PUBLIC_NAMES)
+    # a stale entry would break `from wedgebound import *`; the spectral
+    # names resolve lazily, through the module's __getattr__
+    for name in wedgebound.__all__:
+        getattr(wedgebound, name)
 
 
 def test_quadrature_knows_only_the_error_type_of_trial():

