@@ -46,8 +46,8 @@ SWEEP_COLUMNS = [
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage errors exit 1; 2 is reserved
         # for numerical failures
+        print(f"wedgebound: invalid input: {message}", file=sys.stderr)
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 
@@ -93,15 +93,13 @@ def _check_out(path: str | None) -> None:
     raise DomainError(f"cannot write --out {path}: {reason}")
 
 
-def _theta(args) -> float:
-    t = args.theta
-    if t is None:
-        raise DomainError("--theta is required")
-    return math.radians(t) if args.degrees else t
+def _cfg(args) -> WedgeConfig:
+    theta = math.radians(args.theta) if args.degrees else args.theta
+    return WedgeConfig(theta=theta, alpha=args.alpha)
 
 
 def cmd_bound(args) -> tuple[dict, dict]:
-    cfg = WedgeConfig(theta=_theta(args), alpha=args.alpha)
+    cfg = _cfg(args)
     rep = bound_constants(cfg)
     return {"theta": cfg.theta, "alpha": cfg.alpha}, {
         "a": rep.a,
@@ -119,7 +117,7 @@ def _rho(cfg: WedgeConfig, args) -> float:
 
 
 def cmd_rayleigh(args) -> tuple[dict, dict]:
-    cfg = WedgeConfig(theta=_theta(args), alpha=args.alpha)
+    cfg = _cfg(args)
     n_opt = bound_constants(cfg).n_opt  # also refuses theta = pi/2, even with --n
     params = TrialParams(rho=_rho(cfg, args), n=args.n if args.n is not None else n_opt)
     rep = rayleigh(cfg, params)
@@ -132,7 +130,7 @@ def cmd_rayleigh(args) -> tuple[dict, dict]:
 
 
 def cmd_verify(args) -> tuple[dict, dict]:
-    cfg = WedgeConfig(theta=_theta(args), alpha=args.alpha)
+    cfg = _cfg(args)
     rho = _rho(cfg, args)
     n_found, rep = verify_thm1(cfg, rho)
     return {"theta": cfg.theta, "alpha": cfg.alpha, "rho": rho}, {
@@ -145,7 +143,7 @@ def cmd_verify(args) -> tuple[dict, dict]:
 
 
 def cmd_optimize(args) -> tuple[dict, dict]:
-    cfg = WedgeConfig(theta=_theta(args), alpha=args.alpha)
+    cfg = _cfg(args)
     params, rep = optimize_bound(cfg)
     return {"theta": cfg.theta, "alpha": cfg.alpha}, {
         "rho": params.rho,
@@ -165,7 +163,7 @@ def solve(cfg: WedgeConfig, L: float | None, h: float | None):
 
 
 def cmd_solve(args) -> tuple[dict, dict]:
-    cfg = WedgeConfig(theta=_theta(args), alpha=args.alpha)
+    cfg = _cfg(args)
     res = solve(cfg, L=args.box, h=args.spacing)
     return {"theta": cfg.theta, "alpha": cfg.alpha, "box": res.grid.L, "spacing": res.grid.h}, {
         "eigenvalue": res.eigenvalue,
@@ -205,10 +203,8 @@ def _sweep_row(theta: float, args) -> dict:
 
 
 def cmd_sweep(args) -> tuple[dict, dict]:
-    if args.theta_steps is None or args.theta_steps < 2:
+    if args.theta_steps < 2:
         raise DomainError("--theta-steps must be at least 2")
-    if args.theta_min is None or args.theta_max is None:
-        raise DomainError("--theta-min and --theta-max are required for sweep")
     lo, hi = args.theta_min, args.theta_max
     if args.degrees:
         lo, hi = math.radians(lo), math.radians(hi)
@@ -287,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, theta=True):
         if theta:
-            p.add_argument("--theta", type=float, help="wedge half-angle (radians)")
+            p.add_argument("--theta", type=float, required=True, help="wedge half-angle (radians)")
         p.add_argument("--alpha", type=float, default=1.0, help="coupling constant")
         p.add_argument("--degrees", action="store_true", help="angles given in degrees")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -320,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="tabulate bounds over a theta grid")
     common(p, theta=False)
-    p.add_argument("--theta-min", type=float)
-    p.add_argument("--theta-max", type=float)
-    p.add_argument("--theta-steps", type=int)
+    p.add_argument("--theta-min", type=float, required=True)
+    p.add_argument("--theta-max", type=float, required=True)
+    p.add_argument("--theta-steps", type=int, required=True)
     p.add_argument("--with-solver", action="store_true")
     p.add_argument("--box", type=float)
     p.add_argument("--spacing", type=float)

@@ -176,14 +176,17 @@ def lambda_upper(theta: float) -> float:
 
 
 def bound_constants(cfg: WedgeConfig) -> BoundReport:
-    """Assemble every intermediate of the closed-form bound at rho = cos^2 theta."""
-    if cfg.theta >= math.pi / 2:
-        raise DomainError(
-            "theta = pi/2 is degenerate for the bound (a = 0, n_opt undefined)"
-        )
+    """Assemble every intermediate of the closed-form bound at rho = cos^2 theta.
+
+    Degenerate where a = 0: at theta = pi/2, and wherever sin^2 theta rounds to 1.
+    """
     cos_sq = math.cos(cfg.theta) ** 2
     sin_sq = math.sin(cfg.theta) ** 2
     a = -closed_R(cfg, cos_sq)
+    if not a > 0.0:
+        raise DomainError(
+            "theta = pi/2 is degenerate for the bound (a = 0, n_opt undefined)"
+        )
     big_b = _big_b(cos_sq)
     alpha_pow = _pow(cfg.alpha, -(2.0 * cos_sq + 1.0))
     b = alpha_pow * big_b / (36.0 * sin_sq)

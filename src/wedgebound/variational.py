@@ -81,7 +81,7 @@ def _trial_profile(cfg: WedgeConfig, params: TrialParams, x: np.ndarray):
 
 
 def _cut_breakpoints(cfg: WedgeConfig, n: float) -> tuple[float, ...]:
-    """Kinks of the integrands plus geometric multiples of the decay length.
+    """Panels of every integral on (-2n, 2n): kinks plus doublings of the decay length.
 
     For cutoff scales n far beyond the natural length 1/(alpha*tan(theta))
     the derivative terms concentrate in a vanishing fraction of the (0, n)
@@ -150,6 +150,8 @@ def quad_J(cfg: WedgeConfig, rho: float) -> QuadratureEstimate:
     """Numeric value of the weighted profile integral over the whole line.
 
     Cross-checks the closed form (2^(2*rho)-1) / (rho*(2*rho+1)*tan(theta)*alpha^(2*rho)).
+    Integrates on a Rayleigh quotient's panels with n = 32/(alpha*tan(theta)):
+    beyond 2n each tail is below (1 + rho*(2*rho+1))*exp(-64) of J.
     """
     _check_rho(cfg, rho)
     tan_t = cfg.tan_theta
@@ -160,25 +162,8 @@ def quad_J(cfg: WedgeConfig, rho: float) -> QuadratureEstimate:
         t = x * tan_t
         return np.exp(power * log_profile_F(t, alpha) - 2.0 * alpha * np.abs(t))
 
-    # pin the integrand's features: geometric multiples of the natural decay
-    # length keep every panel's mass near its edges, and for rho > 3/2 the
-    # integrand peaks away from the kink (slow saturation of F**(2*rho-1)
-    # balancing the exponential decay), so the peak gets a breakpoint too
-    scale = 1.0 / (alpha * tan_t)
-    breakpoints = [0.0]
-    breakpoints.extend(s * scale for s in (-4.0, -2.0, -1.0, 1.0, 2.0, 4.0, 8.0, 16.0))
-    if rho > 1.5:
-        x_peak = math.log((2.0 * rho + 1.0) / 4.0) / (alpha * tan_t)
-        breakpoints.extend((0.5 * x_peak, x_peak, 2.0 * x_peak, 4.0 * x_peak))
-
-    # cut the line where each tail drops below exp(-40) = 4.2e-18 of J: the
-    # tail left of lo is exactly rho/(2^(2rho)-1) * exp(-40) <= exp(-40)/(2 ln 2)
-    # of J, and as F lies in [1/alpha, 2/alpha) for x > 0, the tail right of
-    # hi is at most (1 + rho*(2rho+1)) * exp(-2*hi/scale) = exp(-40) of J;
-    # together less than 1e-17 * J for every admissible rho
-    lo = -40.0 / (2.0 * rho + 1.0) * scale
-    hi = (20.0 + 0.5 * math.log1p(rho * (2.0 * rho + 1.0))) * scale
-    return integrate(integrand, lo, hi, breakpoints=breakpoints)
+    n = 32.0 / (alpha * tan_t)
+    return integrate(integrand, -2.0 * n, 2.0 * n, breakpoints=_cut_breakpoints(cfg, n))
 
 
 def verify_thm1(cfg: WedgeConfig, rho: float) -> tuple[float, RayleighReport]:
@@ -238,7 +223,7 @@ def optimize_bound(cfg: WedgeConfig) -> tuple[TrialParams, RayleighReport]:
     cot_sq = cfg.cot_sq_theta
     rho = math.cos(cfg.theta) ** 2
     n = report.n_opt
-    n_lo = max(report.n_opt / 100.0, 1.0 / (cfg.alpha * cfg.tan_theta) / 100.0)
+    n_lo = report.n_opt / 100.0
     n_hi = N_MAX_SCALE / (cfg.alpha * cfg.tan_theta)
     rho_lo = 1e-6 * cot_sq
     rho_hi = (1.0 - 1e-6) * cot_sq

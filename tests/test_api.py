@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import os
@@ -8,13 +9,30 @@ from pathlib import Path
 import pytest
 
 import wedgebound
-from wedgebound import quad_J, quadrature, spectral, trial, variational
+from wedgebound import cli, quad_J, quadrature, spectral, trial, variational
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every optional parameter of a public function; a new one is a new knob
 # that each caller, test and benchmark must cover
 OPTIONAL_PARAMETERS = {("integrate", "breakpoints"), ("solve", "L"), ("solve", "h")}
+
+# every (subcommand, option) pair of the command line, for the same reason
+_COMMON = "--theta --alpha --degrees --format --out"
+CLI_OPTIONS = {
+    (command, option)
+    for command, options in {
+        "bound": _COMMON,
+        "rayleigh": f"{_COMMON} --rho --n",
+        "verify": f"{_COMMON} --rho",
+        "optimize": _COMMON,
+        "solve": f"{_COMMON} --box --spacing",
+        "sweep": "--alpha --degrees --format --out --theta-min --theta-max --theta-steps"
+        " --with-solver --box --spacing",
+        "fit": "table --side --format --out",
+    }.items()
+    for option in options.split()
+}
 
 # the package's public names: what the commands run, and nothing else
 PUBLIC_NAMES = {
@@ -36,6 +54,19 @@ def test_optional_parameters_are_pinned():
                 if param.default is not inspect.Parameter.empty:
                     found.add((name, param.name))
     assert found == OPTIONAL_PARAMETERS
+
+
+def test_cli_options_are_pinned():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        (command, option)
+        for command, sub in commands.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings or [action.dest]
+    }
+    assert found == CLI_OPTIONS
 
 
 def test_public_names_are_pinned():

@@ -263,17 +263,19 @@ class TestSweep:
             assert r["lambda_fd"] == ""  # solver not requested
 
     def test_row_error_does_not_abort(self, capsys):
-        # theta grid includes pi/2 where the optimizer is degenerate
-        code, out, _ = run(
-            capsys,
-            "sweep", "--theta-min", "0.7",
-            "--theta-max", repr(math.pi / 2), "--theta-steps", "2",
-        )
-        assert code == 0
-        rows = list(csv.DictReader(out.splitlines()))
-        assert rows[0]["status"] == "ok"
-        assert rows[1]["status"].startswith("error:")
-        assert "," not in rows[1]["status"]
+        # theta grid ends where the optimizer is degenerate: at pi/2, and
+        # 1e-9 below it, where sin^2 theta rounds to 1
+        for theta_max in (repr(math.pi / 2), "1.5707963257948966"):
+            code, out, _ = run(
+                capsys,
+                "sweep", "--theta-min", "0.7",
+                "--theta-max", theta_max, "--theta-steps", "2",
+            )
+            assert code == 0
+            rows = list(csv.DictReader(out.splitlines()))
+            assert rows[0]["status"] == "ok"
+            assert rows[1]["status"].startswith("error:")
+            assert "," not in rows[1]["status"]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_out_file_matches_stdout(self, capsys, tmp_path, fmt):
@@ -335,6 +337,10 @@ class TestInvalidNumbers:
             ["rayleigh", "--theta", "1e-320"],
             ["optimize", "--theta", "1e-320"],
             ["verify", "--theta", "1e-320"],
+            # sin^2 theta rounds to 1, so the bound's a is 0
+            ["bound", "--theta", "1.5707963257948966"],
+            ["rayleigh", "--theta", "1.5707963257948966"],
+            ["optimize", "--theta", "1.5707963257948966"],
         ],
     )
     def test_exit_1(self, capsys, argv):
@@ -595,7 +601,15 @@ class TestReportContract:
         assert code == 0
         assert out == BOUND_PI_4_JSON
 
-    @pytest.mark.parametrize("argv", [["bound", "--theta", "2.0"], ["bound"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--theta", "2.0"],
+            ["bound"],
+            ["sweep", "--theta-min", "0.5"],
+            ["bound", "--theta", "0.7", "--bogus"],
+        ],
+    )
     def test_failure_writes_nothing(self, capsys, tmp_path, argv):
         path = tmp_path / "report.out"
         code, out, err = run(capsys, *argv, "--out", str(path))

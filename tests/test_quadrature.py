@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from wedgebound import DomainError, WedgeConfig, closed_J, closed_R, integrate, quad_J
-from wedgebound import quadrature
+from wedgebound import quadrature, variational
+from wedgebound.variational import _cut_breakpoints
 
 # e^-40 = 4.2e-18: cutting an e^-|x| tail at 40 drops less than rounding
 CUT = 40.0
@@ -149,6 +150,25 @@ class TestQuadJ:
             rho = rng.uniform(0.05, 0.95) * cfg.cot_sq_theta
             j = quad_J(cfg, rho).require()
             assert j == pytest.approx(closed_J(cfg, rho), rel=1e-10)
+        # large rho: F**(2*rho-1) peaks several decay lengths right of the kink
+        steep = WedgeConfig(theta=0.1, alpha=1.0)
+        for cfg, rho in [(WedgeConfig(theta=0.06, alpha=3.56), 264.0),
+                         (steep, 0.9 * steep.cot_sq_theta)]:
+            j = quad_J(cfg, rho).require()
+            assert j == pytest.approx(closed_J(cfg, rho), rel=1e-10)
+
+    def test_integrates_on_the_quotient_panels(self, monkeypatch):
+        cfg = WedgeConfig(theta=0.7, alpha=1.5)
+        calls = []
+
+        def integrate_spy(f, lo, hi, breakpoints=()):
+            calls.append((lo, hi, breakpoints))
+            return integrate(f, lo, hi, breakpoints=breakpoints)
+
+        monkeypatch.setattr(variational, "integrate", integrate_spy)
+        quad_J(cfg, 0.5)
+        n = 32.0 / (cfg.alpha * cfg.tan_theta)
+        assert calls == [(-2.0 * n, 2.0 * n, _cut_breakpoints(cfg, n))]
 
     def test_relates_to_closed_energy(self):
         rng = np.random.default_rng(11)

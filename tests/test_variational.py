@@ -185,7 +185,7 @@ class TestQuadratureOracle:
         cfg = WedgeConfig(theta, alpha)
         rep = bound_constants(cfg)
         scale = 1.0 / (alpha * cfg.tan_theta)
-        n_lo = max(rep.n_opt / 100.0, scale / 100.0)
+        n_lo = rep.n_opt / 100.0
         n_hi = N_MAX_SCALE * scale
         cot_sq = cfg.cot_sq_theta
         points = [(math.cos(theta) ** 2, rep.n_opt)]
