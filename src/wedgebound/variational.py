@@ -42,11 +42,12 @@ N_MAX_SCALE = 1e4
 #: verify_thm1 gives up after this many doublings of the cutoff scale.
 MAX_DOUBLINGS = 60
 #: optimize_bound's cap on coordinate-descent sweeps, and its relative
-#: tolerance for both _golden_section's line searches and the per-sweep gain.
+#: tolerance for both the per-sweep gain and _brent's line searches, where
+#: it is taken relative to the initial bracket.
 MAX_SWEEPS = 30
 OPT_REL_TOL = 1e-6
-#: _golden_section's iteration cap.
-GOLDEN_MAX_ITER = 200
+#: _brent's cap on steps, one function evaluation each, per line search.
+LINE_SEARCH_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -185,39 +186,71 @@ def verify_thm1(cfg: WedgeConfig, rho: float) -> tuple[float, RayleighReport]:
     raise ConvergenceError(f"no negative energy found up to n={n}")
 
 
-def _golden_section(
+def _brent(
     f: Callable[[float], float],
     a: float,
     b: float,
 ) -> tuple[float, float]:
-    """Minimize a unimodal function on [a, b]; returns (x_min, f(x_min)).
+    """Minimize a unimodal function between a and b, in either order;
+    returns (x_min, f(x_min)).
 
-    Stops at a bracket of ``OPT_REL_TOL`` * (|a| + |b|), read at each call.
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5): x is the best point so far, and each step
+    goes to the vertex of the parabola through x and the two next best
+    points, or, when that vertex leaves the bracket or the step would not
+    halve the one before last, golden-section into the larger side of x.
+    Stops once both ends of the bracket lie within tol = ``OPT_REL_TOL`` *
+    (|a| + |b|) of x, with tol read once from the initial bracket, so a
+    minimizer at 0 stops as soon as any other; no step is shorter than tol/2.
     """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(GOLDEN_MAX_ITER):
-        if abs(b - a) <= OPT_REL_TOL * (abs(a) + abs(b)):
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    a, b = min(a, b), max(a, b)
+    tol = OPT_REL_TOL * (abs(a) + abs(b))
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = f(x)
+    step = prev = 0.0  # the last step and the one before it
+    for _ in range(LINE_SEARCH_MAX_ITER):
+        mid = (a + b) / 2.0
+        if max(x - a, b - x) <= tol:
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
+        # the parabola's vertex is at x + p/q
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        if q > 0.0:
+            p = -p
+        q = abs(q)
+        inside = q * (a - x) < p < q * (b - x)
+        if inside and abs(prev) > tol / 2.0 and abs(p) < q * abs(prev) / 2.0:
+            prev, step = step, p / q
+            if min(x + step - a, b - x - step) < tol:
+                step = math.copysign(tol / 2.0, mid - x)
         else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+            prev = (a if x >= mid else b) - x
+            step = golden * prev
+        u = x + (step if abs(step) >= tol / 2.0 else math.copysign(tol / 2.0, step))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def optimize_bound(cfg: WedgeConfig) -> tuple[TrialParams, RayleighReport]:
     """Improve the Rayleigh quotient over (rho, n) by coordinate descent.
 
-    Deterministic golden-section line searches, initialized at the
-    closed-form default (rho = cos^2 theta, n = 2b/a); the result is never
-    worse than the starting point.
+    Each sweep runs a deterministic Brent line search over rho, then one
+    over log n, starting at the closed-form default (rho = cos^2 theta,
+    n = 2b/a); sweeps stop once one gains no more than ``OPT_REL_TOL`` of
+    the quotient.  The result is never worse than the starting point, and
+    its report is the one computed when the search probed it.
     """
     report = bound_constants(cfg)
     cot_sq = cfg.cot_sq_theta
@@ -228,21 +261,24 @@ def optimize_bound(cfg: WedgeConfig) -> tuple[TrialParams, RayleighReport]:
     rho_lo = 1e-6 * cot_sq
     rho_hi = (1.0 - 1e-6) * cot_sq
 
+    reports: dict[tuple[float, float], RayleighReport] = {}
+
     def quotient(r: float, m: float) -> float:
         try:
-            return rayleigh(cfg, TrialParams(rho=r, n=m)).quotient
+            reports[r, m] = rayleigh(cfg, TrialParams(rho=r, n=m))
         except DomainError as exc:  # the search left float range, not the input
             raise ConvergenceError(f"the search probed rho={r}, n={m}: {exc}") from None
+        return reports[r, m].quotient
 
     best_q = quotient(rho, n)
     best = (rho, n)
     for _ in range(MAX_SWEEPS):
         prev_q = best_q
-        rho, q = _golden_section(lambda r: quotient(r, best[1]), rho_lo, rho_hi)
+        rho, q = _brent(lambda r: quotient(r, best[1]), rho_lo, rho_hi)
         if q < best_q:
             best_q, best = q, (rho, best[1])
         # search over log(n): the optimum scale spans orders of magnitude
-        s, q = _golden_section(
+        s, q = _brent(
             lambda t: quotient(best[0], math.exp(t)),
             math.log(n_lo),
             math.log(n_hi),
@@ -253,5 +289,4 @@ def optimize_bound(cfg: WedgeConfig) -> tuple[TrialParams, RayleighReport]:
         if gain <= OPT_REL_TOL * abs(best_q):
             break
 
-    best_params = TrialParams(rho=best[0], n=best[1])
-    return best_params, rayleigh(cfg, best_params)
+    return TrialParams(rho=best[0], n=best[1]), reports[best]

@@ -19,9 +19,17 @@ from wedgebound import (
 )
 from wedgebound import variational
 from wedgebound.quadrature import QuadratureEstimate
-from wedgebound.variational import N_MAX_SCALE, _cut_breakpoints, _golden_section
+from wedgebound.variational import N_MAX_SCALE, _brent, _cut_breakpoints
 
 PI_4 = math.pi / 4
+# optimize_bound's quotients at alpha = 1 as first recorded in
+# bench/reference.json; the optimizer may move, but not to a worse quotient
+RECORDED_OPTIMUM = {
+    0.6: -0.25393983576160706,
+    PI_4: -0.2510544316311443,
+    1.0: -0.2501647750400971,
+    1.3: -0.2500021169645932,
+}
 
 
 @pytest.fixture(scope="module")
@@ -234,20 +242,57 @@ class TestVerifyThm1:
             verify_thm1(cfg, cfg.cot_sq_theta)
 
 
-class TestGoldenSection:
+def counted(f):
+    """f, and the list of abscissae it was called at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+class TestBrent:
     @pytest.fixture(autouse=True)
     def tight_bracket(self, monkeypatch):
-        # the default 1e-6 leaves a final bracket up to 6e-6 wide here, which
-        # does not guarantee abs=1e-6
+        # the default 1e-6 stops within 5e-6 of the minimizer on [0, 5],
+        # which does not guarantee abs=1e-6
         monkeypatch.setattr(variational, "OPT_REL_TOL", 1e-9)
 
     def test_quadratic(self):
-        x, fx = _golden_section(lambda x: (x - 2.0) ** 2, 0.0, 5.0)
+        f, calls = counted(lambda x: (x - 2.0) ** 2)
+        x, fx = _brent(f, 0.0, 5.0)
+        assert len(calls) <= 10  # one parabola lands on the vertex
         assert x == pytest.approx(2.0, abs=1e-6)
+        assert fx == f(x)
 
     def test_cosine(self):
-        x, _ = _golden_section(math.cos, 2.0, 4.0)
+        f, calls = counted(math.cos)
+        x, _ = _brent(f, 2.0, 4.0)
         assert x == pytest.approx(math.pi, abs=1e-6)
+        assert len(calls) <= 30
+
+    def test_reversed_bracket(self):
+        # near pi/2 optimize_bound's log n bracket comes reversed
+        def f(x):
+            return (x - 2.0) ** 2
+
+        assert _brent(f, 5.0, 0.0) == _brent(f, 0.0, 5.0)
+
+    def test_kink_falls_back_to_golden(self):
+        # parabolas fit a kink badly; golden steps must still close in on it
+        f, calls = counted(lambda x: abs(x - 1.3))
+        x, _ = _brent(f, 0.0, 5.0)
+        assert x == pytest.approx(1.3, abs=1e-6)
+        assert len(calls) <= 40
+
+    def test_minimizer_at_zero_end(self):
+        # a tolerance relative to the shrinking bracket never stops here
+        f, calls = counted(lambda x: x)
+        x, _ = _brent(f, 0.0, 5.0)
+        assert 0.0 <= x <= variational.OPT_REL_TOL * 5.0
+        assert len(calls) <= 50
 
 
 class TestOptimizeBound:
@@ -284,3 +329,27 @@ class TestOptimizeBound:
         _, r1 = optimize_bound(WedgeConfig(0.9, 1.0))
         _, r2 = optimize_bound(WedgeConfig(0.9, 2.0))
         assert r2.margin == pytest.approx(4.0 * r1.margin, rel=1e-3)
+
+    @pytest.mark.parametrize("theta", sorted(RECORDED_OPTIMUM))
+    def test_no_worse_than_recorded(self, theta):
+        _, rep = optimize_bound(WedgeConfig(theta, 1.0))
+        assert rep.quotient <= RECORDED_OPTIMUM[theta] + 1e-9 / 4.0
+
+    def test_dilation_covariance(self, monkeypatch):
+        # x -> alpha*x maps the trial family at alpha = 1 onto the one at
+        # alpha: the quotient scales as alpha^2, the rho searches repeat and
+        # the log n searches only shift, so the quotient count barely moves
+        probes = []
+
+        def counting(cfg, params, rayleigh=variational.rayleigh):
+            probes.append(params)
+            return rayleigh(cfg, params)
+
+        monkeypatch.setattr(variational, "rayleigh", counting)
+        _, unit = optimize_bound(WedgeConfig(PI_4, 1.0))
+        assert len(probes) <= 60
+        for alpha in (10.0, 26.67, 100.0):
+            probes.clear()
+            _, rep = optimize_bound(WedgeConfig(PI_4, alpha))
+            assert rep.quotient == pytest.approx(alpha**2 * unit.quotient, rel=1e-9)
+            assert len(probes) <= 60
