@@ -14,24 +14,35 @@ in h with a second-order tail; solve() removes both terms by fitting over
 three grids.  The ground state of a reflection-symmetric operator is
 positive, hence even, so solve() restricts every grid level to the even
 subspace (about half the unknowns), lifts the eigenvector back to the full
-grid and checks its residual again against the full matrix.  Each shift of
-the shift-invert Lanczos iteration is factorized once, with a symmetric
-fill-reducing ordering.  The first level is solved at the shift
+grid and checks its residual again against the full matrix.  The coarse
+grid, and its re-solves in an enlarged box, is solved by shift-invert
+Lanczos iteration, each shift factorized once with a symmetric
+fill-reducing ordering.  The two refined grids are solved by LOBPCG,
+preconditioned by one multigrid V-cycle on R - sigma*I (weighted Jacobi
+smoothing, bilinear transfer between the levels' even subspaces and an
+exact solve with a factor of the coarse grid), so no grid finer than the
+coarse one is factorized.  The first level is solved at the shift
 -2*alpha^2; every later level takes its shift from the eigenvalues already
 solved, just below the expected one, which cuts the Lanczos solves about
 threefold.  Because the matrix is a Z-matrix, each shift is certified to lie
-below the spectrum (an M-matrix test on one solve with its factor) before
-the iteration runs, so the eigenvalue found is the lowest one.
+below the spectrum (an M-matrix test on an approximate solve of
+(H - sigma*I) x = 1) before the iteration runs.  On the coarse grid that
+makes the eigenvalue Lanczos finds the lowest one.  On a refined grid it
+makes R - sigma*I positive definite, as the V-cycle needs; there the lowest
+eigenvalue is reached from the warm start, and checked by the sign of its
+eigenvector, since the ground state of an irreducible Z-matrix is its only
+eigenvector without a sign change.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.sparse.linalg import LinearOperator, cg, eigsh, lobpcg, splu
 
 from .quadrature import ConvergenceError
 from .trial import DomainError, WedgeConfig, _pow
@@ -52,6 +63,18 @@ RESIDUAL_LIMIT = 1e-8
 #: certificate below the spectrum (or whose solve fails) is lowered and retried.
 EIG_TOL = 1e-12
 MAX_SHIFT_RETRIES = 4
+#: the refined levels' LOBPCG: its iteration cap; the share of an
+#: eigenvector's squared norm its negative entries may hold (the ground
+#: state's hold none); and the relative tolerance and iteration cap of the
+#: preconditioned CG solve behind each shift certificate
+LOBPCG_MAXITER = 200
+NEGATIVE_MASS_LIMIT = 1e-6
+CERTIFICATE_RTOL = 1e-3
+CERTIFICATE_MAXITER = 30
+#: the V-cycle's weighted Jacobi smoother: its weight, and its sweeps on each
+#: refined level before the coarse correction and again after it
+JACOBI_WEIGHT = 0.8
+JACOBI_SWEEPS = 2
 #: solve()'s cap on box doublings, read at each call
 MAX_ENLARGEMENTS = 2
 
@@ -97,8 +120,10 @@ class SpectralResult:
     boundary_mass: float | None = None
     enlargements: int = 0
     grid_eigenvalues: tuple[float, ...] | None = None
-    #: the certified shift of the eigensolve, and the solves with its factor
-    #: (certificate and Lanczos)
+    #: the certified shift of the eigensolve, and the solves made at it: on
+    #: the coarse grid, solves with its factor (certificate and Lanczos); on a
+    #: refined grid, V-cycles (certificate CG and LOBPCG), each of which is
+    #: one solve with the coarse grid's factor
     shift: float | None = None
     solves: int = 0
 
@@ -191,36 +216,52 @@ def lowest_eigenvalue(H: sp.spmatrix, shift: float) -> SpectralResult:
             "needs a Z-matrix"
         )
     v0 = np.ones(H.shape[0])
+
+    def lanczos(sigma: float):
+        factor = _certified_factor(H, sigma)
+        op = LinearOperator(H.shape, matvec=factor.solve, dtype=H.dtype)
+        vals, vecs = eigsh(
+            H, k=1, sigma=sigma, which="LM", tol=EIG_TOL, v0=v0, OPinv=op
+        )
+        return vals[0], vecs[:, 0], factor.solves
+
+    sigma, (lam, v, solves) = _at_certified_shift(lanczos, shift)
+    return _eigenpair(H, lam, v, sigma, solves)
+
+
+def _at_certified_shift(attempt, shift: float):
+    """``(sigma, attempt(sigma))`` for the first sigma, from ``shift`` down,
+    at which ``attempt`` returns.
+
+    ``attempt`` raises a RuntimeError when sigma fails its certificate below
+    the spectrum (ConvergenceError), when its iteration fails (ArpackError,
+    ArpackNoConvergence included) or when SuperLU finds a factor exactly
+    singular; sigma is then lowered to min(4*sigma - 1, sigma - 1), which is
+    4*sigma - 1 for a negative sigma and lower than sigma for any, at most
+    ``MAX_SHIFT_RETRIES`` times.  Any other error propagates.
+    """
     sigma = shift
-    last_exc: RuntimeError | None = None
     for _ in range(MAX_SHIFT_RETRIES + 1):
         try:
-            factor = _certified_factor(H, sigma)
-            op = LinearOperator(H.shape, matvec=factor.solve, dtype=H.dtype)
-            vals, vecs = eigsh(
-                H, k=1, sigma=sigma, which="LM", tol=EIG_TOL, v0=v0, OPinv=op
-            )
+            return sigma, attempt(sigma)
         except RuntimeError as exc:
-            # the shift failed its certificate (ConvergenceError), ArpackError
-            # (ArpackNoConvergence included) or SuperLU's "factor is exactly
-            # singular"; any other error propagates.  The new shift is
-            # 4*sigma - 1 for a negative sigma, and lower than sigma for any.
-            last_exc = exc
-            sigma = min(4.0 * sigma - 1.0, sigma - 1.0)
-            continue
-        lam, v = float(vals[0]), vecs[:, 0]
-        res = _residual(H, lam, v)
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        return SpectralResult(
-            eigenvalue=lam,
-            residual_norm=res,
-            grid=None,
-            eigenvector=v,
-            shift=sigma,
-            solves=factor.solves,
-        )
-    raise ConvergenceError(f"shift-invert eigensolver failed: {last_exc}")
+            # kept as text: the exception's traceback holds this frame
+            failure = str(exc)
+        sigma = min(4.0 * sigma - 1.0, sigma - 1.0)
+    raise ConvergenceError(f"eigensolver failed at every shift tried: {failure}")
+
+
+def _eigenpair(
+    H: sp.spmatrix, lam: float, v: np.ndarray, sigma: float, solves: int
+) -> SpectralResult:
+    """The result for an eigenpair of H found at the certified shift sigma:
+    its residual checked by ``_residual``, v signed positive at its largest
+    entry."""
+    lam = float(lam)
+    res = _residual(H, lam, v)
+    if v[np.argmax(np.abs(v))] < 0:
+        v = -v
+    return SpectralResult(lam, res, None, eigenvector=v, shift=sigma, solves=solves)
 
 
 def _has_positive_off_diagonal(M: sp.spmatrix) -> bool:
@@ -242,25 +283,31 @@ class _Factor:
 
 
 def _certified_factor(H: sp.spmatrix, sigma: float) -> _Factor:
-    """Factor of H - sigma*I, once sigma is certified below the spectrum.
+    """Factor of H - sigma*I, once ``_certify`` has certified sigma below
+    the spectrum with x = (H - sigma*I)^-1 * 1."""
+    A = sp.csc_matrix(H - sigma * sp.identity(H.shape[0]))
+    factor = _Factor(A)
+    _certify(A, factor.solve(np.ones(H.shape[0])), sigma)
+    return factor
 
-    A = H - sigma*I is a Z-matrix; if x = A^-1 * 1 is positive and A x is
-    positive componentwise, A is a nonsingular M-matrix, hence (being
-    symmetric) positive definite, and sigma < lambda_min (Berman & Plemmons,
-    Nonnegative Matrices in the Mathematical Sciences, ch. 6).  A x must
-    clear a margin for the rounding of forming A and of the product:
+
+def _certify(A: sp.spmatrix, x: np.ndarray, sigma: float) -> None:
+    """Certify that sigma lies below the spectrum of H, given A = H - sigma*I.
+
+    A is a Z-matrix; if x is positive and A x is positive componentwise, A
+    is a nonsingular M-matrix, hence (being symmetric) positive definite,
+    and sigma < lambda_min (Berman & Plemmons, Nonnegative Matrices in the
+    Mathematical Sciences, ch. 6).  That holds for any x, so an approximate
+    solve of A x = 1 serves as well as an exact one.  A x must clear a
+    margin for the rounding of forming A and of the product:
     |A| x = 2 diag(A) x - A x for a Z-matrix with x > 0.  Raises
     ConvergenceError if the test fails.
     """
-    A = sp.csc_matrix(H - sigma * sp.identity(H.shape[0]))
-    factor = _Factor(A)
-    x = factor.solve(np.ones(H.shape[0]))
     Ax = A @ x
     k = int(np.diff(A.indptr).max()) + 1  # products per row, plus A's own rounding
     slack = 2.0 * k * np.finfo(float).eps * (2.0 * A.diagonal() * x - Ax)
     if not (np.all(x > 0.0) and np.all(Ax > slack)):
         raise ConvergenceError(f"shift {sigma} is not certified below the spectrum")
-    return factor
 
 
 def _even_isometry(m: int) -> sp.csr_matrix:
@@ -280,16 +327,134 @@ def _even_isometry(m: int) -> sp.csr_matrix:
     )
 
 
-def _solve_level(cfg: WedgeConfig, grid: GridSpec, shift: float) -> SpectralResult:
-    """Ground state of one grid level, solved on the even subspace.
+def _prolongation(m: int) -> sp.csr_matrix:
+    """Bilinear interpolation from the even subspace of a grid with m
+    interior nodes per axis to that of its refinement, with 2m + 1.
+
+    It is P_f^T (p kron p) P_c, with P the even isometries and p the 1D
+    linear interpolation: coarse node i is fine node 2i + 1, and the fine
+    nodes on either side take half its value.
+    """
+    i = np.arange(m)
+    rows = (2 * i[:, None] + [0, 1, 2]).ravel()
+    p = sp.csr_matrix(
+        (np.tile([0.5, 1.0, 0.5], m), (rows, i.repeat(3))), shape=(2 * m + 1, m)
+    )
+    return (_even_isometry(2 * m + 1).T @ sp.kron(p, p) @ _even_isometry(m)).tocsr()
+
+
+class _VCycle:
+    """One multigrid V-cycle for A = R - sigma*I, an approximate inverse.
+
+    ``reduced`` holds the even-subspace matrices of a grid and of its
+    refinements, coarse first, R the last; ``prolongs[k]`` interpolates from
+    level k to level k + 1, and its transpose over 4 restricts (full
+    weighting).  Each refined level smooths by weighted Jacobi,
+    ``JACOBI_SWEEPS`` sweeps before the coarse correction and as many after,
+    and the coarse grid solves exactly with a SuperLU factor, so the cycle is
+    a symmetric operator.  ``coarse.solves`` counts the cycles.
+    """
+
+    def __init__(self, reduced: list, prolongs: list, sigma: float):
+        A = [(R - sigma * sp.identity(R.shape[0])).tocsr() for R in reduced]
+        self.A = A[-1]
+        self.coarse = _Factor(A[0].tocsc())
+        # per refined level: its matrix, Jacobi weights, prolongation, restriction
+        self.levels = [
+            (Ak, JACOBI_WEIGHT / Ak.diagonal(), Pi, (0.25 * Pi.T).tocsr())
+            for Ak, Pi in zip(A[1:], prolongs)
+        ]
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        b = np.ravel(b)
+        below = []  # (smoothed x, right-hand side) of each refined level
+        for A, w, _, restrict in reversed(self.levels):
+            x = w * b
+            for _ in range(JACOBI_SWEEPS - 1):
+                x += w * (b - A @ x)
+            below.append((x, b))
+            b = restrict @ (b - A @ x)
+        x = self.coarse.solve(b)
+        for A, w, prolong, _ in self.levels:
+            fine, b = below.pop()
+            x = fine + prolong @ x
+            for _ in range(JACOBI_SWEEPS):
+                x += w * (b - A @ x)
+        return x
+
+
+def _multigrid_eigenpair(
+    reduced: list, prolongs: list, shift: float, start: np.ndarray
+) -> SpectralResult:
+    """Smallest eigenpair of R = reduced[-1] by LOBPCG from ``start``,
+    preconditioned by a ``_VCycle`` on R - sigma*I.
+
+    sigma is certified below the spectrum as in ``lowest_eigenvalue``:
+    ``_certify`` tests the x that CG, preconditioned by the same V-cycle,
+    finds for (R - sigma*I) x = 1, and a shift that fails is lowered and
+    retried.  The certificate makes R - sigma*I positive definite, as the
+    V-cycle needs; unlike shift-invert Lanczos, LOBPCG is not bound by
+    sigma to the lowest eigenvalue.  That rests on the warm start, and is
+    checked by sign: R is an irreducible Z-matrix, so its ground state is
+    its only eigenvector without a sign change, and an eigenvector whose
+    negative entries hold more than ``NEGATIVE_MASS_LIMIT`` of its squared
+    norm raises ConvergenceError.  So does LOBPCG reaching
+    ``LOBPCG_MAXITER`` iterations, and a residual above ``RESIDUAL_LIMIT``
+    * |eigenvalue|.  The result's solves counts the V-cycles at the
+    certified shift.
+    """
+    R = reduced[-1]
+    ones = np.ones(R.shape[0])
+    # stop at a hundredth of the residual limit at the start's Rayleigh
+    # quotient rho: rho >= lambda_0, so for a bound state (lambda_0 <= rho < 0)
+    # that lies inside the limit at any scale of R
+    rho = start @ (R @ start) / (start @ start)
+    tol = 0.01 * RESIDUAL_LIMIT * abs(rho)
+
+    def certified(sigma: float):
+        vcycle = _VCycle(reduced, prolongs, sigma)
+        M = LinearOperator(R.shape, matvec=vcycle, dtype=R.dtype)
+        x, _ = cg(
+            vcycle.A, ones, rtol=CERTIFICATE_RTOL, maxiter=CERTIFICATE_MAXITER, M=M
+        )
+        _certify(vcycle.A, x, sigma)
+        return vcycle, M
+
+    sigma, (vcycle, M) = _at_certified_shift(certified, shift)
+    with warnings.catch_warnings():
+        # SciPy only warns when LOBPCG stops short of its tolerance
+        warnings.simplefilter("error", UserWarning)
+        try:
+            vals, vecs = lobpcg(
+                R, start[:, None], M=M, tol=tol, maxiter=LOBPCG_MAXITER,
+                largest=False,
+            )
+        except UserWarning as exc:
+            raise ConvergenceError(f"LOBPCG did not converge: {exc}") from exc
+    result = _eigenpair(R, vals[0], vecs[:, 0], sigma, vcycle.coarse.solves)
+    v = result.eigenvector
+    if np.sum(v[v < 0.0] ** 2) > NEGATIVE_MASS_LIMIT * np.sum(v**2):
+        raise ConvergenceError(
+            "LOBPCG found an eigenvector that changes sign, not the ground state"
+        )
+    return result
+
+
+def _even_reduction(cfg: WedgeConfig, grid: GridSpec):
+    """The grid's matrix H, its even isometry P and the symmetrized
+    even-subspace matrix P^T H P."""
+    H = assemble(cfg, grid)
+    P = _even_isometry(grid.n_interior)
+    R = P.T @ H @ P
+    return H, P, ((R + R.T) * 0.5).tocsr()
+
+
+def _lifted(result: SpectralResult, grid: GridSpec, H, P) -> SpectralResult:
+    """``result``, solved on the even subspace of ``P``, for the full grid.
 
     The eigenvector is lifted back to the full grid and its residual is
     taken, and checked like ``lowest_eigenvalue``'s, against the full matrix.
     """
-    H = assemble(cfg, grid)
-    P = _even_isometry(grid.n_interior)
-    R = P.T @ H @ P
-    result = lowest_eigenvalue(((R + R.T) * 0.5).tocsr(), shift=shift)
     result.grid = grid
     result.eigenvector = P @ result.eigenvector
     result.residual_norm = _residual(H, result.eigenvalue, result.eigenvector)
@@ -329,7 +494,7 @@ def _next_shift(solved: list[float]) -> float:
     Below the last eigenvalue by twice the last change between levels, and
     by at least a quarter of its magnitude.  A shift close below the target
     makes shift-invert Lanczos converge in few solves; the certificate in
-    ``_certified_factor`` catches one that lands above the spectrum.
+    ``_certify`` catches one that lands above the spectrum.
     """
     lam = solved[-1]
     step = abs(lam) / 4.0
@@ -350,16 +515,20 @@ def solve(
     be positive and finite; the coarse grid then has n = max(64, round(L/h))
     intervals per half-width.  Refining doubles n and enlarging doubles L.
     Every level is solved on the even subspace of the y -> -y reflection
-    (about half a million unknowns on the finest grid) with one
-    factorization per shift, and its eigenvector is lifted back to the full
-    grid.  The first solve uses the shift -2*alpha^2 and every later one,
-    coarse re-solves after an enlargement included, ``_next_shift`` of the
-    eigenvalues solved before it; ``lowest_eigenvalue`` certifies each shift
-    below the spectrum.  If the coarse eigenfunction leaves more than 1e-10
-    of its mass within one spacing of the boundary, the box is doubled
-    (unknown count kept) and the solve repeats, at most ``MAX_ENLARGEMENTS``
-    times; near theta = pi/2 the extended state along the line keeps some
-    mass at the boundary at any box size, so the cap is a hard stop.
+    (about half a million unknowns on the finest grid), and its eigenvector
+    is lifted back to the full grid.  The coarse grid is solved by
+    ``lowest_eigenvalue``, with one factorization per shift; each refined
+    grid by LOBPCG from the last level's eigenvector, interpolated,
+    preconditioned by a V-cycle that descends through the grids solved
+    before it to the coarse grid's factor.  The first solve uses the shift
+    -2*alpha^2 and every later one, coarse re-solves after an enlargement
+    included, ``_next_shift`` of the eigenvalues solved before it; every
+    shift is certified below the spectrum before its iteration runs.  If
+    the coarse eigenfunction leaves more than 1e-10 of its mass within one
+    spacing of the boundary, the box is doubled (unknown count kept) and the
+    solve repeats, at most ``MAX_ENLARGEMENTS`` times; near theta = pi/2 the
+    extended state along the line keeps some mass at the boundary at any box
+    size, so the cap is a hard stop.
     """
     if L is None:
         L = max(8.0 / cfg.alpha, 12.0)
@@ -373,7 +542,8 @@ def solve(
 
     enlargements = 0
     while True:
-        result = _solve_level(cfg, grid, shift)
+        H, P, R = _even_reduction(cfg, grid)
+        result = _lifted(lowest_eigenvalue(R, shift=shift), grid, H, P)
         solved.append(result.eigenvalue)
         shift = _next_shift(solved)
         mass = _boundary_mass(result.eigenvector, grid.n_interior)
@@ -382,9 +552,15 @@ def solve(
         grid = grid.enlarged()
         enlargements += 1
 
+    reduced, prolongs = [R], []  # the V-cycle's levels, coarse first
     for _ in range(2):
+        prolongs.append(_prolongation(grid.n_interior))
+        start = prolongs[-1] @ (P.T @ result.eigenvector)
         grid = grid.refined()
-        result = _solve_level(cfg, grid, shift)
+        H, P, R = _even_reduction(cfg, grid)
+        reduced.append(R)
+        result = _multigrid_eigenpair(reduced, prolongs, shift, start)
+        result = _lifted(result, grid, H, P)
         solved.append(result.eigenvalue)
         shift = _next_shift(solved)
 

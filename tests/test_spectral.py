@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,10 +23,12 @@ from wedgebound import (
 from wedgebound import spectral
 from wedgebound.spectral import (
     _even_isometry,
+    _even_reduction,
     _has_positive_off_diagonal,
+    _multigrid_eigenpair,
     _next_shift,
+    _prolongation,
     _residual,
-    _solve_level,
     delta_line_matrix,
     dirichlet_laplacian,
 )
@@ -221,6 +225,29 @@ class TestSolve:
         assert quarter.enlargements == 0
         assert quarter.eigenvalue == quarter.grid_eigenvalues[-1]
 
+    def test_dilation_covariance(self, monkeypatch):
+        # at L = 8/alpha with n fixed, H_alpha = alpha^2 H_1 exactly; the
+        # residual limit is relative, so the refined levels' stop must be too
+        monkeypatch.setattr(spectral, "MAX_ENLARGEMENTS", 0)
+        lams = {}
+        for alpha in (1.0, 0.1):
+            L = 8.0 / alpha
+            res = solve(WedgeConfig(PI_4, alpha), L=L, h=L / 64)
+            lams[alpha] = np.array(res.grid_eigenvalues) / alpha**2
+        assert lams[0.1] == pytest.approx(lams[1.0], rel=1e-9, abs=0.0)
+
+    def test_leaves_no_reference_cycle(self, monkeypatch):
+        # in-process callers (sweep, the benchmark) keep a flat peak RSS only
+        # if each solve's matrices are freed on return, not by the cyclic GC
+        monkeypatch.setattr(spectral, "MAX_ENLARGEMENTS", 0)
+        gc.collect()
+        gc.disable()
+        try:
+            solve(WedgeConfig(PI_4, 1.0), L=12.0, h=12.0 / 64)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestEvenSubspace:
     def test_isometry(self):
@@ -242,7 +269,8 @@ class TestEvenSubspace:
         # adaptive shifts on the even subspace against the fixed shift
         # -2*alpha^2 on the full grid
         monkeypatch.setattr(spectral, "MAX_ENLARGEMENTS", 0)
-        for theta, alpha in itertools.product((0.3, PI_4, 1.3), (1.0, 2.0)):
+        cases = [*itertools.product((0.3, PI_4, 1.3), (1.0, 2.0)), (1.45, 4.0)]
+        for theta, alpha in cases:
             cfg = WedgeConfig(theta, alpha)
             g = GridSpec(12.0, 64)
             res = solve(cfg, L=g.L, h=g.h)
@@ -261,7 +289,8 @@ class TestEvenSubspace:
         cfg = WedgeConfig(theta, alpha)
         L = 8.0 / alpha
         g = GridSpec(L, 64)
-        even = _solve_level(cfg, g, -2.0 * alpha**2)
+        _, _, R = _even_reduction(cfg, g)
+        even = lowest_eigenvalue(R, -2.0 * alpha**2)
         full = lowest_eigenvalue(assemble(cfg, g), -2.0 * alpha**2)
         assert even.eigenvalue == pytest.approx(full.eigenvalue, rel=1e-9, abs=0.0)
 
@@ -280,7 +309,7 @@ class TestEvenSubspace:
 
         monkeypatch.setattr(spectral, "assemble", asymmetric)
         with pytest.raises(ConvergenceError, match="residual"):
-            _solve_level(WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64), -2.0)
+            solve(WedgeConfig(PI_4, 1.0), L=12.0, h=12.0 / 64)
 
     def test_lifted_eigenvector(self, reduced):
         cfg, _, res = reduced
@@ -321,3 +350,45 @@ class TestSolverFailures:
         monkeypatch.setattr(spectral, "eigsh", perturbed)
         with pytest.raises(ConvergenceError, match="residual"):
             lowest_eigenvalue(H, shift=-2.0)
+
+
+class TestRefinedLevel:
+    """LOBPCG with a V-cycle onto the coarse factor, on one refined level."""
+
+    @pytest.fixture(scope="class")
+    def levels(self):
+        # lambda_0 = -0.2541 and lambda_1 = -0.1539 on the refined even subspace
+        cfg, g = WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64)
+        Rc, R = (_even_reduction(cfg, grid)[2] for grid in (g, g.refined()))
+        prolong = _prolongation(g.n_interior)
+        start = prolong @ lowest_eigenvalue(Rc, shift=-2.0).eigenvector
+        lams, vecs = eigsh(R, k=2, sigma=-2.0, which="LM")
+        order = np.argsort(lams)
+        return [Rc, R], [prolong], start, lams[order], vecs[:, order[1]]
+
+    def test_bad_shift_recovers(self, levels):
+        # a shift above the lowest eigenvalue fails the certificate and is lowered
+        reduced, prolongs, start, (lam0, lam1), _ = levels
+        bad = lam0 + 0.25 * (lam1 - lam0)
+        res = _multigrid_eigenpair(reduced, prolongs, bad, start)
+        assert type(res.eigenvalue) is float  # np.float64 would print differently
+        assert res.eigenvalue == pytest.approx(
+            lowest_eigenvalue(reduced[-1], shift=-2.0).eigenvalue, rel=1e-9, abs=0.0
+        )
+        assert res.shift < lam0
+
+    def test_iteration_cap_is_convergence_error(self, levels, monkeypatch):
+        reduced, prolongs, start, (lam0, _), _ = levels
+        monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 1)
+        # ignore warnings, as outside this suite: SciPy only warns at its cap
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ConvergenceError, match="did not converge"):
+                _multigrid_eigenpair(reduced, prolongs, _next_shift([lam0]), start)
+
+    def test_excited_state_is_convergence_error(self, levels):
+        # started on the second eigenvector, LOBPCG stays there; the shift
+        # certificate cannot tell, the eigenvector's sign change does
+        reduced, prolongs, _, (lam0, _), excited = levels
+        with pytest.raises(ConvergenceError, match="ground state"):
+            _multigrid_eigenpair(reduced, prolongs, _next_shift([lam0]), excited)
