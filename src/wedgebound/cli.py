@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -277,6 +278,7 @@ def cmd_fit(args) -> tuple[dict, dict]:
     }
 
 
+@functools.cache  # built on first use, so importing the CLI stays cheap
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wedgebound")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,24 +14,27 @@ in h with a second-order tail; solve() removes both terms by fitting over
 three grids.  The ground state of a reflection-symmetric operator is
 positive, hence even, so solve() restricts every grid level to the even
 subspace (about half the unknowns), lifts the eigenvector back to the full
-grid and checks its residual again against the full matrix.  The coarse
-grid, and its re-solves in an enlarged box, is solved by shift-invert
-Lanczos iteration, each shift factorized once with a symmetric
-fill-reducing ordering.  The two refined grids are solved by LOBPCG,
-preconditioned by one multigrid V-cycle on R - sigma*I (weighted Jacobi
-smoothing, bilinear transfer between the levels' even subspaces and an
-exact solve with a factor of the coarse grid), so no grid finer than the
-coarse one is factorized.  The first level is solved at the shift
--2*alpha^2; every later level takes its shift from the eigenvalues already
-solved, just below the expected one, which cuts the Lanczos solves about
-threefold.  Because the matrix is a Z-matrix, each shift is certified to lie
-below the spectrum (an M-matrix test on an approximate solve of
-(H - sigma*I) x = 1) before the iteration runs.  On the coarse grid that
-makes the eigenvalue Lanczos finds the lowest one.  On a refined grid it
-makes R - sigma*I positive definite, as the V-cycle needs; there the lowest
-eigenvalue is reached from the warm start, and checked by the sign of its
-eigenvector, since the ground state of an irreducible Z-matrix is its only
-eigenvector without a sign change.
+grid and checks its residual again against the full matrix.  Every level
+has one certified inverse of R - sigma*I, a multigrid V-cycle (weighted
+Jacobi smoothing, bilinear transfer between the levels' even subspaces, an
+exact solve with a factor of the coarse grid), which on the coarse grid
+alone is that factor's solve, so no finer grid is factorized.  With it,
+shift-invert Lanczos solves the coarse grid and its re-solves in an
+enlarged box, and LOBPCG the two refined grids from the last level's
+eigenvector.  LOBPCG cannot take the coarse grid too: from a flat start it
+reaches its 200-iteration cap at alpha = 8, theta = 1.3 and 1.55 (L = 12,
+n = 64), where Lanczos converges, since only a Krylov space resolves the
+small gap between the ground state and the discretized line states.
+The first level is solved at the shift -2*alpha^2; every later level takes
+its shift from the eigenvalues already solved, just below the expected
+one, which cuts the Lanczos solves about threefold.  Because the matrix is
+a Z-matrix, each shift is certified to lie below the spectrum (an M-matrix
+test on an approximate solve of (R - sigma*I) x = 1) before the iteration
+runs.  On the coarse grid that makes the eigenvalue Lanczos finds the
+lowest one.  On a refined grid it makes R - sigma*I positive definite, as
+the V-cycle needs; there the lowest eigenvalue is reached from the warm
+start, and checked by the sign of its eigenvector, since the ground state
+of an irreducible Z-matrix is its only eigenvector without a sign change.
 """
 
 from __future__ import annotations
@@ -63,10 +66,9 @@ RESIDUAL_LIMIT = 1e-8
 #: certificate below the spectrum (or whose solve fails) is lowered and retried.
 EIG_TOL = 1e-12
 MAX_SHIFT_RETRIES = 4
-#: the refined levels' LOBPCG: its iteration cap; the share of an
-#: eigenvector's squared norm its negative entries may hold (the ground
-#: state's hold none); and the relative tolerance and iteration cap of the
-#: preconditioned CG solve behind each shift certificate
+#: the refined levels' LOBPCG iteration cap and the share of an eigenvector's
+#: squared norm its negative entries may hold (the ground state's hold none);
+#: every level's certificate CG solve: its relative tolerance and iteration cap
 LOBPCG_MAXITER = 200
 NEGATIVE_MASS_LIMIT = 1e-6
 CERTIFICATE_RTOL = 1e-3
@@ -120,10 +122,9 @@ class SpectralResult:
     boundary_mass: float | None = None
     enlargements: int = 0
     grid_eigenvalues: tuple[float, ...] | None = None
-    #: the certified shift of the eigensolve, and the solves made at it: on
-    #: the coarse grid, solves with its factor (certificate and Lanczos); on a
-    #: refined grid, V-cycles (certificate CG and LOBPCG), each of which is
-    #: one solve with the coarse grid's factor
+    #: the certified shift of the eigensolve, and how often its certified
+    #: inverse was applied (certificate and iteration), each application one
+    #: solve with the coarse grid's factor
     shift: float | None = None
     solves: int = 0
 
@@ -202,8 +203,8 @@ def lowest_eigenvalue(H: sp.spmatrix, shift: float) -> SpectralResult:
 
     H must be a symmetric Z-matrix (no positive off-diagonal entry), as
     every matrix ``assemble`` builds and its even reduction are.  Each shift
-    is factorized once, and the factor certifies that the shift lies below
-    the spectrum (see ``_certified_factor``) and drives the Lanczos
+    is factorized once, as the one-level ``_certified_inverse``, which
+    certifies that the shift lies below the spectrum and drives the Lanczos
     iteration.  A shift that fails its certificate, or whose factorization
     or iteration fails, is lowered and retried.  A residual above
     ``RESIDUAL_LIMIT`` * |eigenvalue| raises ConvergenceError.  The result
@@ -218,12 +219,11 @@ def lowest_eigenvalue(H: sp.spmatrix, shift: float) -> SpectralResult:
     v0 = np.ones(H.shape[0])
 
     def lanczos(sigma: float):
-        factor = _certified_factor(H, sigma)
-        op = LinearOperator(H.shape, matvec=factor.solve, dtype=H.dtype)
+        inverse = _certified_inverse([H], [], sigma)
         vals, vecs = eigsh(
-            H, k=1, sigma=sigma, which="LM", tol=EIG_TOL, v0=v0, OPinv=op
+            H, k=1, sigma=sigma, which="LM", tol=EIG_TOL, v0=v0, OPinv=inverse
         )
-        return vals[0], vecs[:, 0], factor.solves
+        return vals[0], vecs[:, 0], inverse.solves
 
     sigma, (lam, v, solves) = _at_certified_shift(lanczos, shift)
     return _eigenpair(H, lam, v, sigma, solves)
@@ -267,28 +267,6 @@ def _eigenpair(
 def _has_positive_off_diagonal(M: sp.spmatrix) -> bool:
     C = M.tocoo()
     return bool(np.any(C.data[C.row != C.col] > 0.0))
-
-
-class _Factor:
-    """SuperLU factor of H - sigma*I that counts the solves made with it."""
-
-    def __init__(self, A: sp.csc_matrix):
-        # A is symmetric, so order by minimum degree on A^T + A, not COLAMD
-        self.lu = splu(A, permc_spec="MMD_AT_PLUS_A")
-        self.solves = 0
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        self.solves += 1
-        return self.lu.solve(b)
-
-
-def _certified_factor(H: sp.spmatrix, sigma: float) -> _Factor:
-    """Factor of H - sigma*I, once ``_certify`` has certified sigma below
-    the spectrum with x = (H - sigma*I)^-1 * 1."""
-    A = sp.csc_matrix(H - sigma * sp.identity(H.shape[0]))
-    factor = _Factor(A)
-    _certify(A, factor.solve(np.ones(H.shape[0])), sigma)
-    return factor
 
 
 def _certify(A: sp.spmatrix, x: np.ndarray, sigma: float) -> None:
@@ -343,7 +321,7 @@ def _prolongation(m: int) -> sp.csr_matrix:
     return (_even_isometry(2 * m + 1).T @ sp.kron(p, p) @ _even_isometry(m)).tocsr()
 
 
-class _VCycle:
+class _VCycle(LinearOperator):
     """One multigrid V-cycle for A = R - sigma*I, an approximate inverse.
 
     ``reduced`` holds the even-subspace matrices of a grid and of its
@@ -352,20 +330,25 @@ class _VCycle:
     weighting).  Each refined level smooths by weighted Jacobi,
     ``JACOBI_SWEEPS`` sweeps before the coarse correction and as many after,
     and the coarse grid solves exactly with a SuperLU factor, so the cycle is
-    a symmetric operator.  ``coarse.solves`` counts the cycles.
+    a symmetric operator; with no refined level it is the factor's solve.
+    ``solves`` counts the cycles.
     """
 
     def __init__(self, reduced: list, prolongs: list, sigma: float):
         A = [(R - sigma * sp.identity(R.shape[0])).tocsr() for R in reduced]
+        super().__init__(A[-1].dtype, A[-1].shape)
         self.A = A[-1]
-        self.coarse = _Factor(A[0].tocsc())
+        # A is symmetric, so order by minimum degree on A^T + A, not COLAMD
+        self.coarse = splu(A[0].tocsc(), permc_spec="MMD_AT_PLUS_A")
+        self.solves = 0
         # per refined level: its matrix, Jacobi weights, prolongation, restriction
         self.levels = [
             (Ak, JACOBI_WEIGHT / Ak.diagonal(), Pi, (0.25 * Pi.T).tocsr())
             for Ak, Pi in zip(A[1:], prolongs)
         ]
 
-    def __call__(self, b: np.ndarray) -> np.ndarray:
+    def _matvec(self, b: np.ndarray) -> np.ndarray:
+        self.solves += 1
         b = np.ravel(b)
         below = []  # (smoothed x, right-hand side) of each refined level
         for A, w, _, restrict in reversed(self.levels):
@@ -383,55 +366,59 @@ class _VCycle:
         return x
 
 
+def _certified_inverse(reduced: list, prolongs: list, sigma: float) -> _VCycle:
+    """The ``_VCycle`` on R - sigma*I, once ``_certify`` has certified sigma
+    below the spectrum of R = reduced[-1] with the x that CG, preconditioned
+    by the cycle, finds for (R - sigma*I) x = 1.  With no refined level the
+    cycle is exact and CG takes one step."""
+    inverse = _VCycle(reduced, prolongs, sigma)
+    ones = np.ones(inverse.shape[0])
+    x, _ = cg(
+        inverse.A, ones, rtol=CERTIFICATE_RTOL, maxiter=CERTIFICATE_MAXITER, M=inverse
+    )
+    _certify(inverse.A, x, sigma)
+    return inverse
+
+
 def _multigrid_eigenpair(
     reduced: list, prolongs: list, shift: float, start: np.ndarray
 ) -> SpectralResult:
     """Smallest eigenpair of R = reduced[-1] by LOBPCG from ``start``,
-    preconditioned by a ``_VCycle`` on R - sigma*I.
+    preconditioned by the ``_certified_inverse`` on R - sigma*I.
 
-    sigma is certified below the spectrum as in ``lowest_eigenvalue``:
-    ``_certify`` tests the x that CG, preconditioned by the same V-cycle,
-    finds for (R - sigma*I) x = 1, and a shift that fails is lowered and
-    retried.  The certificate makes R - sigma*I positive definite, as the
-    V-cycle needs; unlike shift-invert Lanczos, LOBPCG is not bound by
-    sigma to the lowest eigenvalue.  That rests on the warm start, and is
-    checked by sign: R is an irreducible Z-matrix, so its ground state is
-    its only eigenvector without a sign change, and an eigenvector whose
-    negative entries hold more than ``NEGATIVE_MASS_LIMIT`` of its squared
-    norm raises ConvergenceError.  So does LOBPCG reaching
-    ``LOBPCG_MAXITER`` iterations, and a residual above ``RESIDUAL_LIMIT``
-    * |eigenvalue|.  The result's solves counts the V-cycles at the
-    certified shift.
+    A shift that fails its certificate is lowered and retried, as in
+    ``lowest_eigenvalue``.  The certificate makes R - sigma*I positive
+    definite, as the V-cycle needs; unlike shift-invert Lanczos, LOBPCG is
+    not bound by sigma to the lowest eigenvalue.  That rests on the warm
+    start, and is checked by sign: R is an irreducible Z-matrix, so its
+    ground state is its only eigenvector without a sign change, and an
+    eigenvector whose negative entries hold more than
+    ``NEGATIVE_MASS_LIMIT`` of its squared norm raises ConvergenceError.
+    So does LOBPCG reaching ``LOBPCG_MAXITER`` iterations, and a residual
+    above ``RESIDUAL_LIMIT`` * |eigenvalue|.  The result's solves counts the
+    V-cycles at the certified shift.
     """
     R = reduced[-1]
-    ones = np.ones(R.shape[0])
     # stop at a hundredth of the residual limit at the start's Rayleigh
     # quotient rho: rho >= lambda_0, so for a bound state (lambda_0 <= rho < 0)
     # that lies inside the limit at any scale of R
     rho = start @ (R @ start) / (start @ start)
     tol = 0.01 * RESIDUAL_LIMIT * abs(rho)
 
-    def certified(sigma: float):
-        vcycle = _VCycle(reduced, prolongs, sigma)
-        M = LinearOperator(R.shape, matvec=vcycle, dtype=R.dtype)
-        x, _ = cg(
-            vcycle.A, ones, rtol=CERTIFICATE_RTOL, maxiter=CERTIFICATE_MAXITER, M=M
-        )
-        _certify(vcycle.A, x, sigma)
-        return vcycle, M
-
-    sigma, (vcycle, M) = _at_certified_shift(certified, shift)
+    sigma, inverse = _at_certified_shift(
+        lambda sigma: _certified_inverse(reduced, prolongs, sigma), shift
+    )
     with warnings.catch_warnings():
         # SciPy only warns when LOBPCG stops short of its tolerance
         warnings.simplefilter("error", UserWarning)
         try:
             vals, vecs = lobpcg(
-                R, start[:, None], M=M, tol=tol, maxiter=LOBPCG_MAXITER,
+                R, start[:, None], M=inverse, tol=tol, maxiter=LOBPCG_MAXITER,
                 largest=False,
             )
         except UserWarning as exc:
             raise ConvergenceError(f"LOBPCG did not converge: {exc}") from exc
-    result = _eigenpair(R, vals[0], vecs[:, 0], sigma, vcycle.coarse.solves)
+    result = _eigenpair(R, vals[0], vecs[:, 0], sigma, inverse.solves)
     v = result.eigenvector
     if np.sum(v[v < 0.0] ** 2) > NEGATIVE_MASS_LIMIT * np.sum(v**2):
         raise ConvergenceError(

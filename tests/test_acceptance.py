@@ -23,6 +23,7 @@ from wedgebound import (
     solve,
     verify_thm1,
 )
+from wedgebound import quadrature
 from conftest import delta_well_1d, record_criterion
 
 PI_4 = math.pi / 4
@@ -116,14 +117,26 @@ def test_criterion_5_cutoff_convergence_rate():
 
 
 def test_criterion_6_theorem_2_quotients():
-    margins = {}
+    # each margin must exceed the quotient's quadrature error: r_value to
+    # r_tolerance, and the squared norm (positive, so its own L1 mass) to
+    # ABS_TOL + REL_TOL * norm_sq, propagated through r_value / norm_sq
+    margins, errors = {}, {}
     for theta in (0.3, 0.6, PI_4, 1.0, 1.3):
         cfg = WedgeConfig(theta, 1.0)
         rep = bound_constants(cfg)
-        quot = rayleigh(cfg, TrialParams(rho=math.cos(theta) ** 2, n=rep.n_opt)).quotient
-        margins[round(theta, 4)] = rep.lambda_upper_bound - quot
-    ok = all(m >= 0.0 for m in margins.values())
-    check(6, ok, f"quotient below Theorem 2 bound by {min(margins.values()):.2e} at worst")
+        quot = rayleigh(cfg, TrialParams(rho=math.cos(theta) ** 2, n=rep.n_opt))
+        margins[theta] = rep.lambda_upper_bound - quot.quotient
+        ns = quot.norm_sq
+        norm_rel_error = quadrature.REL_TOL + quadrature.ABS_TOL / ns
+        errors[theta] = (quot.r_tolerance + abs(quot.r_value) * norm_rel_error) / ns
+    ok = all(margins[t] > errors[t] for t in margins)
+    ratio = min(margins[t] / errors[t] for t in margins)
+    check(
+        6,
+        ok,
+        f"quotient below Theorem 2 bound by {min(margins.values()):.2e} at worst, "
+        f"margin/quadrature error >= {ratio:.2e}",
+    )
 
 
 def test_criterion_7_solver_calibration(fd):

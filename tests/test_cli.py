@@ -616,3 +616,13 @@ class TestReportContract:
         assert (code, out) == (1, "")
         assert err.startswith("wedgebound: invalid input: ")
         assert not path.exists()
+
+    def test_parser_is_reused_across_calls(self, capsys):
+        # main builds its parser once per process; a usage error in between
+        # must leave nothing in it that changes the next report
+        argv = ["rayleigh", "--theta", "0.7", "--rho", "0.4", "--n", "50"]
+        first = run(capsys, *argv)
+        assert first[0] == 0
+        assert run(capsys, "rayleigh", "--theta", "0.7", "--rho")[0] == 1
+        assert run(capsys, *argv) == first
+        assert cli.build_parser() is cli.build_parser()

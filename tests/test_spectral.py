@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
 from wedgebound import (
     ConvergenceError,
@@ -22,6 +22,7 @@ from wedgebound import (
 )
 from wedgebound import spectral
 from wedgebound.spectral import (
+    _certified_inverse,
     _even_isometry,
     _even_reduction,
     _has_positive_off_diagonal,
@@ -178,6 +179,32 @@ class TestLowestEigenvalue:
         H[0, 1] = H[1, 0] = 1e-3
         with pytest.raises(DomainError):
             lowest_eigenvalue(H.tocsr(), shift=-2.0)
+
+    def test_one_level_inverse_is_the_factor(self):
+        # with no refined level the V-cycle is the coarse factor's solve, and
+        # its certificate's CG stops after one application
+        R = _even_reduction(WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64))[2]
+        sigma = -2.0
+        inverse = _certified_inverse([R], [], sigma)
+        assert inverse.solves == 1
+        A = sp.csc_matrix(R - sigma * sp.identity(R.shape[0]))
+        factor = splu(A, permc_spec="MMD_AT_PLUS_A")
+        b = np.random.default_rng(0).standard_normal(R.shape[0])
+        assert np.array_equal(inverse @ b, factor.solve(b))
+
+    def test_narrow_gap_needs_lanczos(self):
+        # lambda_0 = -12.4153 and lambda_1 = -12.4028: the ground state sits
+        # just below the discretized line states, a gap that shift-invert
+        # Lanczos resolves and LOBPCG from a flat start, even with the exact
+        # inverse, does not within its iteration cap
+        _, _, R = _even_reduction(WedgeConfig(1.55, 8.0), GridSpec(12.0, 64))
+        lam0 = min(eigsh(R, k=2, sigma=-128.0, which="LM", return_eigenvectors=False))
+        res = lowest_eigenvalue(R, shift=-128.0)
+        assert res.eigenvalue == pytest.approx(lam0, rel=1e-9, abs=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # SciPy warns at its cap
+            with pytest.raises(ConvergenceError, match="did not converge"):
+                _multigrid_eigenpair([R], [], -128.0, np.ones(R.shape[0]))
 
     def test_previous_level_shift_saves_solves(self):
         cfg = WedgeConfig(PI_4, 1.0)
