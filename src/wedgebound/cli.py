@@ -211,6 +211,8 @@ def cmd_sweep(args) -> tuple[dict, dict]:
         lo, hi = math.radians(lo), math.radians(hi)
     if not lo < hi:
         raise DomainError("--theta-min must be below --theta-max")
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"the theta range must be finite, got {lo} to {hi}")
     thetas = [lo + (hi - lo) * i / (args.theta_steps - 1) for i in range(args.theta_steps)]
     inputs = {
         "theta_min": lo,

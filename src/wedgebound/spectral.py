@@ -26,15 +26,16 @@ reaches its 200-iteration cap at alpha = 8, theta = 1.3 and 1.55 (L = 12,
 n = 64), where Lanczos converges, since only a Krylov space resolves the
 small gap between the ground state and the discretized line states.
 The first level is solved at the shift -2*alpha^2; every later level takes
-its shift from the eigenvalues already solved, just below the expected
-one, which cuts the Lanczos solves about threefold.  Because the matrix is
-a Z-matrix, each shift is certified to lie below the spectrum (an M-matrix
-test on an approximate solve of (R - sigma*I) x = 1) before the iteration
-runs.  On the coarse grid that makes the eigenvalue Lanczos finds the
-lowest one.  On a refined grid it makes R - sigma*I positive definite, as
-the V-cycle needs; there the lowest eigenvalue is reached from the warm
-start, and checked by the sign of its eigenvector, since the ground state
-of an irreducible Z-matrix is its only eigenvector without a sign change.
+its shift from the eigenvalues already solved, just below the expected one:
+that cuts a coarse re-solve's Lanczos solves two- to threefold and places a
+refined level's V-cycle.  Because the matrix is a Z-matrix, each shift is
+certified to lie below the spectrum (an M-matrix test on an approximate
+solve of (R - sigma*I) x = 1) before the iteration runs, once.  On the
+coarse grid that makes the eigenvalue Lanczos finds the lowest one.  On a
+refined grid it makes R - sigma*I positive definite, as the V-cycle needs;
+there the lowest eigenvalue is reached from the warm start, and checked by
+the sign of its eigenvector, since the ground state of an irreducible
+Z-matrix is its only eigenvector without a sign change.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg, eigsh, lobpcg, splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, lobpcg, splu
 
 from .quadrature import ConvergenceError
 from .trial import DomainError, WedgeConfig, _pow
@@ -63,7 +64,7 @@ __all__ = [
 BOUNDARY_MASS_LIMIT = 1e-10
 RESIDUAL_LIMIT = 1e-8
 #: Lanczos convergence tolerance, and how often a shift that fails its
-#: certificate below the spectrum (or whose solve fails) is lowered and retried.
+#: certificate below the spectrum (or whose factor is singular) is lowered.
 EIG_TOL = 1e-12
 MAX_SHIFT_RETRIES = 4
 #: the refined levels' LOBPCG iteration cap and the share of an eigenvector's
@@ -94,6 +95,11 @@ class GridSpec:
             raise DomainError(f"L must be positive and finite, got L={self.L}")
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 64:
             raise DomainError(f"n must be an integer >= 64, got n={self.n!r}")
+        # before anything is allocated: assemble divides by h^2 and indexes m^2 rows
+        if not self.h * self.h >= np.finfo(float).tiny:
+            raise DomainError(f"spacing h={self.h} squares below the smallest normal float")
+        if self.n_interior**2 > np.iinfo(np.intp).max:
+            raise DomainError(f"spacing h={self.h} gives more unknowns than an index holds")
 
     @property
     def h(self) -> float:
@@ -202,12 +208,12 @@ def lowest_eigenvalue(H: sp.spmatrix, shift: float) -> SpectralResult:
     """Smallest eigenvalue by shift-and-invert Lanczos iteration.
 
     H must be a symmetric Z-matrix (no positive off-diagonal entry), as
-    every matrix ``assemble`` builds and its even reduction are.  Each shift
-    is factorized once, as the one-level ``_certified_inverse``, which
-    certifies that the shift lies below the spectrum and drives the Lanczos
-    iteration.  A shift that fails its certificate, or whose factorization
-    or iteration fails, is lowered and retried.  A residual above
-    ``RESIDUAL_LIMIT`` * |eigenvalue| raises ConvergenceError.  The result
+    every matrix ``assemble`` builds and its even reduction are.  The
+    one-level ``_certified_inverse`` factorizes H - sigma*I and certifies
+    sigma below the spectrum, lowering it from ``shift`` until it passes;
+    its factor then drives the Lanczos iteration, which runs once at that
+    sigma and is not retried: an ARPACK failure raises ConvergenceError, as
+    does a residual above ``RESIDUAL_LIMIT`` * |eigenvalue|.  The result
     records the certified shift and the solves made with its factor.
     Deterministic (fixed start vector).
     """
@@ -216,39 +222,13 @@ def lowest_eigenvalue(H: sp.spmatrix, shift: float) -> SpectralResult:
             "matrix has a positive off-diagonal entry; the shift certificate "
             "needs a Z-matrix"
         )
+    sigma, inverse = _certified_inverse([H], [], shift)
     v0 = np.ones(H.shape[0])
-
-    def lanczos(sigma: float):
-        inverse = _certified_inverse([H], [], sigma)
-        vals, vecs = eigsh(
-            H, k=1, sigma=sigma, which="LM", tol=EIG_TOL, v0=v0, OPinv=inverse
-        )
-        return vals[0], vecs[:, 0], inverse.solves
-
-    sigma, (lam, v, solves) = _at_certified_shift(lanczos, shift)
-    return _eigenpair(H, lam, v, sigma, solves)
-
-
-def _at_certified_shift(attempt, shift: float):
-    """``(sigma, attempt(sigma))`` for the first sigma, from ``shift`` down,
-    at which ``attempt`` returns.
-
-    ``attempt`` raises a RuntimeError when sigma fails its certificate below
-    the spectrum (ConvergenceError), when its iteration fails (ArpackError,
-    ArpackNoConvergence included) or when SuperLU finds a factor exactly
-    singular; sigma is then lowered to min(4*sigma - 1, sigma - 1), which is
-    4*sigma - 1 for a negative sigma and lower than sigma for any, at most
-    ``MAX_SHIFT_RETRIES`` times.  Any other error propagates.
-    """
-    sigma = shift
-    for _ in range(MAX_SHIFT_RETRIES + 1):
-        try:
-            return sigma, attempt(sigma)
-        except RuntimeError as exc:
-            # kept as text: the exception's traceback holds this frame
-            failure = str(exc)
-        sigma = min(4.0 * sigma - 1.0, sigma - 1.0)
-    raise ConvergenceError(f"eigensolver failed at every shift tried: {failure}")
+    try:
+        vals, vecs = eigsh(H, k=1, sigma=sigma, which="LM", tol=EIG_TOL, v0=v0, OPinv=inverse)
+    except ArpackError as exc:
+        raise ConvergenceError(f"Lanczos failed at the certified shift {sigma}: {exc}") from exc
+    return _eigenpair(H, vals[0], vecs[:, 0], sigma, inverse.solves)
 
 
 def _eigenpair(
@@ -366,18 +346,34 @@ class _VCycle(LinearOperator):
         return x
 
 
-def _certified_inverse(reduced: list, prolongs: list, sigma: float) -> _VCycle:
-    """The ``_VCycle`` on R - sigma*I, once ``_certify`` has certified sigma
-    below the spectrum of R = reduced[-1] with the x that CG, preconditioned
-    by the cycle, finds for (R - sigma*I) x = 1.  With no refined level the
-    cycle is exact and CG takes one step."""
-    inverse = _VCycle(reduced, prolongs, sigma)
-    ones = np.ones(inverse.shape[0])
-    x, _ = cg(
-        inverse.A, ones, rtol=CERTIFICATE_RTOL, maxiter=CERTIFICATE_MAXITER, M=inverse
-    )
-    _certify(inverse.A, x, sigma)
-    return inverse
+def _certified_inverse(reduced: list, prolongs: list, shift: float) -> tuple[float, _VCycle]:
+    """``(sigma, cycle)``: the ``_VCycle`` on R - sigma*I for the first
+    sigma, from ``shift`` down, that ``_certify`` certifies below the
+    spectrum of R = reduced[-1], with the x that CG, preconditioned by the
+    cycle, finds for (R - sigma*I) x = 1.  With no refined level the cycle
+    is exact and CG takes one step.
+
+    A sigma that fails its certificate, or whose coarse factor SuperLU finds
+    exactly singular, is lowered to min(4*sigma - 1, sigma - 1), which is
+    4*sigma - 1 for a negative sigma and lower than sigma for any, at most
+    ``MAX_SHIFT_RETRIES`` times; then ConvergenceError.  Only the
+    certificate is retried, never the iteration the cycle goes on to drive.
+    """
+    ones = np.ones(reduced[-1].shape[0])
+    sigma = shift
+    for _ in range(MAX_SHIFT_RETRIES + 1):
+        try:
+            inverse = _VCycle(reduced, prolongs, sigma)
+            x, _ = cg(
+                inverse.A, ones, rtol=CERTIFICATE_RTOL, maxiter=CERTIFICATE_MAXITER, M=inverse
+            )
+            _certify(inverse.A, x, sigma)
+            return sigma, inverse
+        except RuntimeError as exc:
+            # kept as text: the exception's traceback holds this frame
+            failure = str(exc)
+        sigma = min(4.0 * sigma - 1.0, sigma - 1.0)
+    raise ConvergenceError(f"no shift certified below the spectrum: {failure}")
 
 
 def _multigrid_eigenpair(
@@ -386,17 +382,17 @@ def _multigrid_eigenpair(
     """Smallest eigenpair of R = reduced[-1] by LOBPCG from ``start``,
     preconditioned by the ``_certified_inverse`` on R - sigma*I.
 
-    A shift that fails its certificate is lowered and retried, as in
-    ``lowest_eigenvalue``.  The certificate makes R - sigma*I positive
-    definite, as the V-cycle needs; unlike shift-invert Lanczos, LOBPCG is
-    not bound by sigma to the lowest eigenvalue.  That rests on the warm
-    start, and is checked by sign: R is an irreducible Z-matrix, so its
-    ground state is its only eigenvector without a sign change, and an
-    eigenvector whose negative entries hold more than
-    ``NEGATIVE_MASS_LIMIT`` of its squared norm raises ConvergenceError.
-    So does LOBPCG reaching ``LOBPCG_MAXITER`` iterations, and a residual
-    above ``RESIDUAL_LIMIT`` * |eigenvalue|.  The result's solves counts the
-    V-cycles at the certified shift.
+    ``_certified_inverse`` lowers sigma from ``shift`` until the certificate
+    passes; LOBPCG then runs once at that sigma and is not retried.  The
+    certificate makes R - sigma*I positive definite, as the V-cycle needs;
+    unlike shift-invert Lanczos, LOBPCG is not bound by sigma to the lowest
+    eigenvalue.  That rests on the warm start, and is checked by sign: R is
+    an irreducible Z-matrix, so its ground state is its only eigenvector
+    without a sign change, and an eigenvector whose negative entries hold
+    more than ``NEGATIVE_MASS_LIMIT`` of its squared norm raises
+    ConvergenceError.  So does LOBPCG reaching ``LOBPCG_MAXITER``
+    iterations, and a residual above ``RESIDUAL_LIMIT`` * |eigenvalue|.
+    The result's solves counts the V-cycles at the certified shift.
     """
     R = reduced[-1]
     # stop at a hundredth of the residual limit at the start's Rayleigh
@@ -405,9 +401,7 @@ def _multigrid_eigenpair(
     rho = start @ (R @ start) / (start @ start)
     tol = 0.01 * RESIDUAL_LIMIT * abs(rho)
 
-    sigma, inverse = _at_certified_shift(
-        lambda sigma: _certified_inverse(reduced, prolongs, sigma), shift
-    )
+    sigma, inverse = _certified_inverse(reduced, prolongs, shift)
     with warnings.catch_warnings():
         # SciPy only warns when LOBPCG stops short of its tolerance
         warnings.simplefilter("error", UserWarning)
@@ -479,9 +473,10 @@ def _next_shift(solved: list[float]) -> float:
     """Shift for the next grid level from the eigenvalues solved so far.
 
     Below the last eigenvalue by twice the last change between levels, and
-    by at least a quarter of its magnitude.  A shift close below the target
-    makes shift-invert Lanczos converge in few solves; the certificate in
-    ``_certify`` catches one that lands above the spectrum.
+    by at least a quarter of its magnitude.  On a coarse re-solve after an
+    enlargement, so close a shift cuts the Lanczos solves two- to threefold
+    against -2*alpha^2; on a refined level it is the V-cycle's sigma.  The
+    certificate in ``_certify`` catches one that lands above the spectrum.
     """
     lam = solved[-1]
     step = abs(lam) / 4.0

@@ -307,6 +307,16 @@ class TestSweep:
                          "--theta-steps", "3")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "lo, hi", [("0.1", "inf"), ("-inf", "0.9"), ("-1e308", "1e308")]
+    )
+    def test_infinite_range_exit_1(self, capsys, lo, hi):
+        # lo + (hi - lo) * 0 would put a nan theta in the first row
+        code, out, err = run(capsys, "sweep", f"--theta-min={lo}", f"--theta-max={hi}",
+                             "--theta-steps", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("wedgebound: invalid input: the theta range must be finite")
+
 
 class TestInvalidNumbers:
     @pytest.mark.parametrize(
@@ -341,6 +351,9 @@ class TestInvalidNumbers:
             ["bound", "--theta", "1.5707963257948966"],
             ["rayleigh", "--theta", "1.5707963257948966"],
             ["optimize", "--theta", "1.5707963257948966"],
+            # h^2 underflows; (2n - 1)^2 unknowns overflow an array index
+            ["solve", "--theta", "0.7", "--box", "12", "--spacing", "1e-300"],
+            ["solve", "--theta", "0.7", "--box", "12", "--spacing", "1e-100"],
         ],
     )
     def test_exit_1(self, capsys, argv):
@@ -350,16 +363,16 @@ class TestInvalidNumbers:
         assert err.startswith("wedgebound: invalid input: ")
 
     def test_sweep_rows_report_bad_spacing(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "sweep", "--theta-min", "0.5", "--theta-max", "0.9", "--theta-steps", "2",
-            "--with-solver", "--box", "12", "--spacing", "0",
-        )
-        assert code == 0
-        rows = list(csv.DictReader(out.splitlines()))
-        assert len(rows) == 2
-        assert all(r["status"].startswith("error: ") for r in rows)
-
+        for spacing in ("0", "1e-300", "1e-100"):
+            code, out, _ = run(
+                capsys,
+                "sweep", "--theta-min", "0.5", "--theta-max", "0.9", "--theta-steps", "2",
+                "--with-solver", "--box", "12", "--spacing", spacing,
+            )
+            assert code == 0
+            rows = list(csv.DictReader(out.splitlines()))
+            assert len(rows) == 2
+            assert all(r["status"].startswith("error: ") for r in rows)
 
     def test_sweep_rows_report_overflowing_alpha(self, capsys):
         code, out, _ = run(

@@ -66,6 +66,14 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(L=L, n=64)
 
+    @pytest.mark.parametrize(
+        "spacing, match", [(1e-300, "squares below"), (1e-100, "more unknowns")]
+    )
+    def test_rejects_spacing_before_allocating(self, spacing, match):
+        # h^2 underflows to 0 at 1e-300; (2n - 1)^2 overflows an index at 1e-100
+        with pytest.raises(DomainError, match=match):
+            GridSpec(12.0, round(12.0 / spacing))
+
     def test_refine_and_enlarge(self):
         g = GridSpec(L=8.0, n=64)
         assert g.refined() == GridSpec(8.0, 128)
@@ -185,8 +193,8 @@ class TestLowestEigenvalue:
         # its certificate's CG stops after one application
         R = _even_reduction(WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64))[2]
         sigma = -2.0
-        inverse = _certified_inverse([R], [], sigma)
-        assert inverse.solves == 1
+        certified, inverse = _certified_inverse([R], [], sigma)
+        assert (certified, inverse.solves) == (sigma, 1)
         A = sp.csc_matrix(R - sigma * sp.identity(R.shape[0]))
         factor = splu(A, permc_spec="MMD_AT_PLUS_A")
         b = np.random.default_rng(0).standard_normal(R.shape[0])
@@ -207,12 +215,13 @@ class TestLowestEigenvalue:
                 _multigrid_eigenpair([R], [], -128.0, np.ones(R.shape[0]))
 
     def test_previous_level_shift_saves_solves(self):
-        cfg = WedgeConfig(PI_4, 1.0)
-        coarse = GridSpec(48.0, 64)
-        lam = lowest_eigenvalue(assemble(cfg, coarse), shift=-2.0).eigenvalue
-        H = assemble(cfg, coarse.refined())
-        fixed = lowest_eigenvalue(H, shift=-2.0)
-        near = lowest_eigenvalue(H, shift=_next_shift([lam]))
+        # solve() shifts a coarse re-solve in an enlarged box by _next_shift;
+        # 22 solves against 52 at -2 here
+        cfg, coarse = WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64)
+        lam = lowest_eigenvalue(_even_reduction(cfg, coarse)[2], shift=-2.0).eigenvalue
+        R = _even_reduction(cfg, coarse.enlarged())[2]
+        fixed = lowest_eigenvalue(R, shift=-2.0)
+        near = lowest_eigenvalue(R, shift=_next_shift([lam]))
         assert (fixed.shift, near.shift) == (-2.0, _next_shift([lam]))
         assert near.eigenvalue == pytest.approx(fixed.eigenvalue, rel=1e-9, abs=0.0)
         assert near.solves < fixed.solves
@@ -354,12 +363,45 @@ class TestSolverFailures:
         return assemble(WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64))
 
     def test_arpack_failure_is_convergence_error(self, H, monkeypatch):
+        # a lower shift cannot help Lanczos at a certified one: no retry
+        calls = []
+
         def no_convergence(*args, **kwargs):
+            calls.append(kwargs["sigma"])
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
         monkeypatch.setattr(spectral, "eigsh", no_convergence)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="certified shift -2.0"):
             lowest_eigenvalue(H, shift=-2.0)
+        assert calls == [-2.0]
+
+    def test_singular_factor_lowers_the_shift(self, H, monkeypatch):
+        expected = lowest_eigenvalue(H, shift=-2.0).eigenvalue
+        calls = []
+
+        def singular_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "splu", singular_once)
+        res = lowest_eigenvalue(H, shift=-2.0)
+        assert (res.shift, len(calls)) == (-9.0, 2)  # 4*sigma - 1
+        assert res.eigenvalue == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    def test_uncertified_shifts_are_convergence_error(self, H, monkeypatch):
+        tried = []
+
+        def never(A, x, sigma):
+            tried.append(sigma)
+            raise ConvergenceError(f"shift {sigma} is not certified below the spectrum")
+
+        monkeypatch.setattr(spectral, "_certify", never)
+        with pytest.raises(ConvergenceError, match="no shift certified"):
+            lowest_eigenvalue(H, shift=-2.0)
+        assert len(tried) == spectral.MAX_SHIFT_RETRIES + 1
+        assert tried == [-2.0, -9.0, -37.0, -149.0, -597.0]
 
     def test_programming_error_propagates(self, H, monkeypatch):
         def bug(*args, **kwargs):
