@@ -28,9 +28,10 @@ small gap between the ground state and the discretized line states.
 The first level is solved at the shift -2*alpha^2; every later level takes
 its shift from the eigenvalues already solved, just below the expected one:
 that cuts a coarse re-solve's Lanczos solves two- to threefold and places a
-refined level's V-cycle.  Because the matrix is a Z-matrix, each shift is
-certified to lie below the spectrum (an M-matrix test on an approximate
-solve of (R - sigma*I) x = 1) before the iteration runs, once.  On the
+refined level's V-cycle.  Each shift is certified to lie below the
+spectrum before the iteration runs, once: an approximate solve x > 0 of
+(R - sigma*I) x = 1 on which the comparison matrix of R - sigma*I is
+positive makes it positive definite, for any symmetric R.  On the
 coarse grid that makes the eigenvalue Lanczos finds the lowest one.  On a
 refined grid it makes R - sigma*I positive definite, as the V-cycle needs;
 there the lowest eigenvalue is reached from the warm start, and checked by
@@ -80,6 +81,10 @@ JACOBI_WEIGHT = 0.8
 JACOBI_SWEEPS = 2
 #: solve()'s cap on box doublings, read at each call
 MAX_ENLARGEMENTS = 2
+#: solve()'s cap on a given L/h, the coarse intervals per half-width n: the
+#: finest level's (8n - 1)^2 nodes cost about 330 bytes each of peak RSS, so
+#: n = 256 (4.2M nodes) needs about 1.4 GB
+MAX_INTERVALS = 256
 
 
 @dataclass(frozen=True)
@@ -207,21 +212,15 @@ def _residual(H: sp.spmatrix, lam: float, v: np.ndarray) -> float:
 def lowest_eigenvalue(H: sp.spmatrix, shift: float) -> SpectralResult:
     """Smallest eigenvalue by shift-and-invert Lanczos iteration.
 
-    H must be a symmetric Z-matrix (no positive off-diagonal entry), as
-    every matrix ``assemble`` builds and its even reduction are.  The
-    one-level ``_certified_inverse`` factorizes H - sigma*I and certifies
-    sigma below the spectrum, lowering it from ``shift`` until it passes;
-    its factor then drives the Lanczos iteration, which runs once at that
-    sigma and is not retried: an ARPACK failure raises ConvergenceError, as
-    does a residual above ``RESIDUAL_LIMIT`` * |eigenvalue|.  The result
-    records the certified shift and the solves made with its factor.
-    Deterministic (fixed start vector).
+    H must be symmetric.  The one-level ``_certified_inverse`` factorizes
+    H - sigma*I and certifies sigma below the spectrum, lowering it from
+    ``shift`` until it passes; its factor then drives the Lanczos
+    iteration, which runs once at that sigma and is not retried: an ARPACK
+    failure raises ConvergenceError, as does a residual above
+    ``RESIDUAL_LIMIT`` * |eigenvalue|.  The result records the certified
+    shift and the solves made with its factor.  Deterministic (fixed start
+    vector).
     """
-    if _has_positive_off_diagonal(H):
-        raise DomainError(
-            "matrix has a positive off-diagonal entry; the shift certificate "
-            "needs a Z-matrix"
-        )
     sigma, inverse = _certified_inverse([H], [], shift)
     v0 = np.ones(H.shape[0])
     try:
@@ -244,27 +243,22 @@ def _eigenpair(
     return SpectralResult(lam, res, None, eigenvector=v, shift=sigma, solves=solves)
 
 
-def _has_positive_off_diagonal(M: sp.spmatrix) -> bool:
-    C = M.tocoo()
-    return bool(np.any(C.data[C.row != C.col] > 0.0))
-
-
 def _certify(A: sp.spmatrix, x: np.ndarray, sigma: float) -> None:
     """Certify that sigma lies below the spectrum of H, given A = H - sigma*I.
 
-    A is a Z-matrix; if x is positive and A x is positive componentwise, A
-    is a nonsingular M-matrix, hence (being symmetric) positive definite,
-    and sigma < lambda_min (Berman & Plemmons, Nonnegative Matrices in the
-    Mathematical Sciences, ch. 6).  That holds for any x, so an approximate
-    solve of A x = 1 serves as well as an exact one.  A x must clear a
-    margin for the rounding of forming A and of the product:
-    |A| x = 2 diag(A) x - A x for a Z-matrix with x > 0.  Raises
-    ConvergenceError if the test fails.
+    A is symmetric; if x is positive and C x is positive componentwise, with
+    C = diag(A) - |offdiag(A)| the comparison matrix, then D^-1 A D (D =
+    diag x) is strictly diagonally dominant with a positive diagonal, so by
+    Gershgorin A, similar to it and symmetric, is positive definite and
+    sigma < lambda_min.  That holds for any x, so an approximate solve of
+    A x = 1 serves as well as an exact one.  C x = 2 diag(A) x - |A| x must
+    clear a margin for the rounding of forming A and of the product, a
+    multiple of |A| x.  Raises ConvergenceError if the test fails.
     """
-    Ax = A @ x
+    abs_Ax = abs(A) @ x
     k = int(np.diff(A.indptr).max()) + 1  # products per row, plus A's own rounding
-    slack = 2.0 * k * np.finfo(float).eps * (2.0 * A.diagonal() * x - Ax)
-    if not (np.all(x > 0.0) and np.all(Ax > slack)):
+    slack = 2.0 * k * np.finfo(float).eps * abs_Ax
+    if not (np.all(x > 0.0) and np.all(2.0 * A.diagonal() * x - abs_Ax > slack)):
         raise ConvergenceError(f"shift {sigma} is not certified below the spectrum")
 
 
@@ -494,8 +488,9 @@ def solve(
 
     Starts from L = max(8/alpha, 12) with n = 128 intervals per half-width
     (the finest grid has 512, about a million nodes).  A given L and h must
-    be positive and finite; the coarse grid then has n = max(64, round(L/h))
-    intervals per half-width.  Refining doubles n and enlarging doubles L.
+    be positive and finite, with L/h at most ``MAX_INTERVALS``; the coarse
+    grid then has n = max(64, round(L/h)) intervals per half-width.
+    Refining doubles n and enlarging doubles L.
     Every level is solved on the even subspace of the y -> -y reflection
     (about half a million unknowns on the finest grid), and its eigenvector
     is lifted back to the full grid.  The coarse grid is solved by
@@ -516,8 +511,8 @@ def solve(
         L = max(8.0 / cfg.alpha, 12.0)
     if not all(0.0 < x < math.inf for x in (L, h) if x is not None):
         raise DomainError(f"L and h must be positive and finite, got L={L}, h={h}")
-    if h is not None and L / h == math.inf:
-        raise DomainError(f"L/h must be finite, got L={L}, h={h}")
+    if h is not None and not L / h <= MAX_INTERVALS:
+        raise DomainError(f"L/h must be at most {MAX_INTERVALS}, got L={L}, h={h}")
     grid = GridSpec(L, 128 if h is None else max(64, round(L / h)))
     shift = -2.0 * _pow(cfg.alpha, 2)
     solved: list[float] = []  # every eigenvalue so far, in solve order

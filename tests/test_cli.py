@@ -363,7 +363,7 @@ class TestInvalidNumbers:
         assert err.startswith("wedgebound: invalid input: ")
 
     def test_sweep_rows_report_bad_spacing(self, capsys):
-        for spacing in ("0", "1e-300", "1e-100"):
+        for spacing in ("0", "1e-300", "1e-100", "0.001"):
             code, out, _ = run(
                 capsys,
                 "sweep", "--theta-min", "0.5", "--theta-max", "0.9", "--theta-steps", "2",

@@ -23,9 +23,9 @@ from wedgebound import (
 from wedgebound import spectral
 from wedgebound.spectral import (
     _certified_inverse,
+    _certify,
     _even_isometry,
     _even_reduction,
-    _has_positive_off_diagonal,
     _multigrid_eigenpair,
     _next_shift,
     _prolongation,
@@ -116,13 +116,15 @@ class TestAssemble:
     @given(theta=st.floats(0.2, 1.5), alpha=st.floats(0.5, 3.0))
     @settings(max_examples=30, deadline=None)
     def test_z_matrix(self, theta, alpha):
-        # the shift certificate of lowest_eigenvalue rests on this
+        # the refined levels' LOBPCG sign check rests on this: the ground
+        # state of an irreducible Z-matrix is its only eigenvector without a
+        # sign change
         L = 8.0 / alpha
         g = GridSpec(L, 64)  # the coarsest grid GridSpec allows
         H = assemble(WedgeConfig(theta, alpha), g)
         P = _even_isometry(g.n_interior)
-        assert not _has_positive_off_diagonal(H)
-        assert not _has_positive_off_diagonal(P.T @ H @ P)
+        for M in (H.tocoo(), (P.T @ H @ P).tocoo()):
+            assert not np.any(M.data[M.row != M.col] > 0.0)
         # the even-subspace restriction rests on an exact reflection symmetry
         m = g.n_interior
         idx = np.arange(m * m).reshape(m, m)[:, ::-1].ravel()
@@ -181,12 +183,21 @@ class TestLowestEigenvalue:
         assert res.eigenvalue == pytest.approx(lam0, rel=1e-9, abs=0.0)
         assert res.shift < lam0
 
-    def test_rejects_positive_off_diagonal(self):
-        g = GridSpec(12.0, 64)
-        H = assemble(WedgeConfig(PI_4, 1.0), g).tolil()
-        H[0, 1] = H[1, 0] = 1e-3
-        with pytest.raises(DomainError):
-            lowest_eigenvalue(H.tocsr(), shift=-2.0)
+    @pytest.mark.parametrize("case, certified", [("one_pair", -2.0), ("all_flipped", -37.0)])
+    def test_matrix_with_positive_off_diagonal(self, case, certified):
+        # the certificate tests the comparison matrix, so H need not be a
+        # Z-matrix; with every off-diagonal sign flipped it fails at -2 and -9
+        H = assemble(WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64))
+        if case == "one_pair":
+            H = H.tolil()
+            H[0, 1] = H[1, 0] = 1e-3
+        else:
+            H = 2.0 * sp.diags(H.diagonal()) - H
+        H = H.tocsr()
+        lam0 = eigsh(H, k=1, sigma=-2.0, which="LM", return_eigenvectors=False)[0]
+        res = lowest_eigenvalue(H, shift=-2.0)
+        assert res.eigenvalue == pytest.approx(lam0, rel=1e-9, abs=0.0)
+        assert res.shift == certified
 
     def test_one_level_inverse_is_the_factor(self):
         # with no refined level the V-cycle is the coarse factor's solve, and
@@ -225,6 +236,15 @@ class TestLowestEigenvalue:
         assert (fixed.shift, near.shift) == (-2.0, _next_shift([lam]))
         assert near.eigenvalue == pytest.approx(fixed.eigenvalue, rel=1e-9, abs=0.0)
         assert near.solves < fixed.solves
+
+
+class TestCertify:
+    def test_refuses_indefinite_matrix(self):
+        # eigenvalues 3 and -1, yet A x = 3 > 0 at x = 1: only the comparison
+        # matrix [[1, -2], [-2, 1]] shows that sigma = 0 is not below -1
+        A = sp.csr_matrix([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ConvergenceError, match="not certified"):
+            _certify(A, np.ones(2), 0.0)
 
 
 class TestDeltaWell1D:
@@ -271,6 +291,18 @@ class TestSolve:
             res = solve(WedgeConfig(PI_4, alpha), L=L, h=L / 64)
             lams[alpha] = np.array(res.grid_eigenvalues) / alpha**2
         assert lams[0.1] == pytest.approx(lams[1.0], rel=1e-9, abs=0.0)
+
+    def test_refuses_grid_beyond_memory_before_assembling(self, monkeypatch):
+        # L/h = 12,000 would put about 9.2e9 nodes on the finest level;
+        # L/h = MAX_INTERVALS passes the check and reaches assemble
+        def assembled(*args):
+            raise AssertionError("assembled")
+
+        monkeypatch.setattr(spectral, "assemble", assembled)
+        with pytest.raises(DomainError, match="at most 256"):
+            solve(WedgeConfig(PI_4, 1.0), L=12.0, h=0.001)
+        with pytest.raises(AssertionError, match="assembled"):
+            solve(WedgeConfig(PI_4, 1.0), L=12.0, h=12.0 / spectral.MAX_INTERVALS)
 
     def test_leaves_no_reference_cycle(self, monkeypatch):
         # in-process callers (sweep, the benchmark) keep a flat peak RSS only
