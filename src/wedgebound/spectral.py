@@ -13,8 +13,11 @@ eigenfunction's normal-derivative cusp, the eigenvalue error is first order
 in h with a second-order tail; solve() removes both terms by fitting over
 three grids.  The ground state of a reflection-symmetric operator is
 positive, hence even, so solve() restricts every grid level to the even
-subspace (about half the unknowns), lifts the eigenvector back to the full
-grid and checks its residual again against the full matrix.  Every level
+subspace (about half the unknowns).  It builds that level's matrix R from
+1D factors, the 5-point stencil on the half grid and the +theta ray's
+samples, without forming the full grid's matrix; then it lifts the
+eigenvector back to the full grid and checks its residual again against
+``assemble``'s matrix, built only for that check.  Every level
 has one certified inverse of R - sigma*I, a multigrid V-cycle (weighted
 Jacobi smoothing, bilinear transfer between the levels' even subspaces, an
 exact solve with a factor of the coarse grid), which on the coarse grid
@@ -82,8 +85,8 @@ JACOBI_SWEEPS = 2
 #: solve()'s cap on box doublings, read at each call
 MAX_ENLARGEMENTS = 2
 #: solve()'s cap on a given L/h, the coarse intervals per half-width n: the
-#: finest level's (8n - 1)^2 nodes cost about 330 bytes each of peak RSS, so
-#: n = 256 (4.2M nodes) needs about 1.4 GB
+#: finest level's (8n - 1)^2 nodes cost about 300 bytes each of peak RSS, so
+#: n = 256 (4.2M nodes) needs about 1.3 GB
 MAX_INTERVALS = 256
 
 
@@ -140,26 +143,28 @@ class SpectralResult:
     solves: int = 0
 
 
+def _five_point(lines: int, k: int, h2: float, edge: float) -> sp.csr_matrix:
+    """5-point Dirichlet stencil (4 u - neighbours) / h2 on ``lines``
+    x-lines of k nodes each (x-major ordering), with the coupling between a
+    line's last two nodes times ``edge``."""
+    N = lines * k
+    y = np.full(N - 1, -1.0 / h2)
+    y[k - 2 :: k] = -edge / h2
+    y[k - 1 :: k] = 0.0  # no coupling across x-lines; sp.diags drops zeros
+    x = np.full(N - k, -1.0 / h2)
+    return sp.diags([x, y, np.full(N, 4.0 / h2), y, x], [-k, -1, 0, 1, k], format="csr")
+
+
 def dirichlet_laplacian(grid: GridSpec) -> sp.csr_matrix:
     """5-point Dirichlet Laplacian on the interior nodes (x-major ordering)."""
     m = grid.n_interior
-    h2 = grid.h * grid.h
-    k1 = sp.diags(
-        [np.full(m - 1, -1.0), np.full(m, 2.0), np.full(m - 1, -1.0)],
-        offsets=[-1, 0, 1],
-        format="csr",
-    ) / h2
-    eye = sp.identity(m, format="csr")
-    return (sp.kron(k1, eye) + sp.kron(eye, k1)).tocsr()
+    return _five_point(m, m, grid.h * grid.h, 1.0)
 
 
-def delta_line_matrix(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
-    """Line-term matrix: trapezoid-weighted sum of interpolation outer products.
-
-    The +theta ray is sampled at arc-length spacing h; row k of the sample
-    matrix S is the bilinear stencil of sample k.  The -theta ray's part is
-    the mirror image of the +theta ray's, node (i, j) to (i, n - j).
-    """
+def _ray_samples(cfg: WedgeConfig, grid: GridSpec) -> tuple[sp.csr_matrix, np.ndarray]:
+    """``(S, w)``: the +theta ray sampled at arc-length spacing h, row k of S
+    the bilinear stencil of sample k on the interior nodes, and w the
+    samples' trapezoid weights."""
     L, h, m = grid.L, grid.h, grid.n_interior
     n = 2 * grid.n  # intervals across [-L, L]
     cos_t, sin_t = math.cos(cfg.theta), math.sin(cfg.theta)
@@ -179,7 +184,19 @@ def delta_line_matrix(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
     S = sp.csr_matrix((w[keep], (rows, cols)), shape=(nk + 1, m * m))
     trapezoid = np.full(nk + 1, h)
     trapezoid[[0, -1]] = h / 2.0
-    D = (S.T @ sp.diags(trapezoid) @ S).tocoo()
+    return S, trapezoid
+
+
+def delta_line_matrix(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
+    """Line-term matrix: trapezoid-weighted sum of interpolation outer products.
+
+    The +theta ray is sampled at arc-length spacing h; row k of the sample
+    matrix S is the bilinear stencil of sample k.  The -theta ray's part is
+    the mirror image of the +theta ray's, node (i, j) to (i, n - j).
+    """
+    m = grid.n_interior
+    S, w = _ray_samples(cfg, grid)
+    D = (S.T @ sp.diags(w) @ S).tocoo()
     # add the mirror image, interior column c to c + (m - 1) - 2 * (c % m);
     # each entry becomes a + b, the same float as its mirror's b + a
     rows, cols = (np.concatenate([c, c + (m - 1) - 2 * (c % m)]) for c in (D.row, D.col))
@@ -188,15 +205,46 @@ def delta_line_matrix(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
     return ((D + D.T) * 0.5).tocsr()
 
 
-def assemble(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
-    """Discretized operator: Laplacian minus the coupling times the line term."""
+def _coupling(cfg: WedgeConfig, grid: GridSpec) -> float:
+    """The line term's factor alpha/h^2; DomainError if the box is too small."""
     if grid.L < 8.0 / cfg.alpha:
         raise DomainError(
             f"box half-width {grid.L} below 8/alpha = {8.0 / cfg.alpha}; "
             "the bound state would not fit"
         )
-    coupling = cfg.alpha / _pow(grid.h, 2)
+    return cfg.alpha / _pow(grid.h, 2)
+
+
+def assemble(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
+    """Discretized operator: Laplacian minus the coupling times the line term."""
+    coupling = _coupling(cfg, grid)
     return (dirichlet_laplacian(grid) - coupling * delta_line_matrix(cfg, grid)).tocsr()
+
+
+def _assemble_even(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
+    """``assemble``'s operator on the even subspace of y -> -y, P^T H P,
+    built from its factors without H.
+
+    The even isometry is P = I kron e (e = ``_even_basis``), so the
+    Laplacian part is the 5-point stencil on the m x (m+1)/2 half grid, with
+    the coupling between the bisector column and its neighbour times
+    sqrt(2).  The line term's mirror image M has M P = P, so its part is
+    twice the +theta ray's: with D = (S P)^T W (S P) from ``_ray_samples``,
+    it is D + D^T, bitwise symmetric.
+    """
+    coupling = _coupling(cfg, grid)
+    m = grid.n_interior
+    S, w = _ray_samples(cfg, grid)
+    e = _even_basis(m)
+    # S P: sample k's node (i, j) moves to even column (i, e's column of j)
+    i, j = np.divmod(S.indices, m)
+    SP = sp.csr_matrix(
+        (S.data * e.data[j], i * e.shape[1] + e.indices[j], S.indptr),
+        shape=(S.shape[0], m * e.shape[1]),
+    )
+    D = SP.T @ sp.diags(w) @ SP
+    laplacian = _five_point(m, (m + 1) // 2, grid.h * grid.h, math.sqrt(2.0))
+    return (laplacian - coupling * (D + D.T)).tocsr()
 
 
 def _residual(H: sp.spmatrix, lam: float, v: np.ndarray) -> float:
@@ -262,37 +310,35 @@ def _certify(A: sp.spmatrix, x: np.ndarray, sigma: float) -> None:
         raise ConvergenceError(f"shift {sigma} is not certified below the spectrum")
 
 
-def _even_isometry(m: int) -> sp.csr_matrix:
-    """Orthonormal basis, as columns, of the grid functions even under y -> -y.
+def _even_basis(m: int) -> sp.csr_matrix:
+    """The 1D factor e of the even isometry P = I kron e, whose columns are
+    an orthonormal basis of the grid functions even under y -> -y.
 
-    m = n_interior is odd, so there are m*(m+1)/2 columns, (m+1)/2 per
-    x-line.  Node (i, j) and its mirror (i, m-1-j) share a column at weight
-    1/sqrt(2); the node on the bisector, j = (m-1)/2, has its own at weight 1.
+    m = n_interior is odd, so e maps m nodes onto (m+1)/2 columns: node j
+    and its mirror m-1-j share one at weight 1/sqrt(2), and the middle node
+    has its own at weight 1.  Node j's column is e.indices[j], its weight
+    e.data[j].
     """
     half = (m + 1) // 2
-    cols = np.arange(m * half).reshape(m, half)
-    cols = np.hstack([cols, cols[:, -2::-1]])  # column of each node (x-major)
-    vals = np.full((m, m), math.sqrt(0.5))
-    vals[:, half - 1] = 1.0
-    return sp.csr_matrix(
-        (vals.ravel(), (np.arange(m * m), cols.ravel())), shape=(m * m, m * half)
-    )
+    j = np.arange(m)
+    vals = np.where(j == half - 1, 1.0, math.sqrt(0.5))
+    return sp.csr_matrix((vals, (j, np.minimum(j, m - 1 - j))), shape=(m, half))
 
 
 def _prolongation(m: int) -> sp.csr_matrix:
     """Bilinear interpolation from the even subspace of a grid with m
     interior nodes per axis to that of its refinement, with 2m + 1.
 
-    It is P_f^T (p kron p) P_c, with P the even isometries and p the 1D
-    linear interpolation: coarse node i is fine node 2i + 1, and the fine
-    nodes on either side take half its value.
+    It is P_f^T (p kron p) P_c = p kron (e_f^T p e_c), with P = I kron e the
+    even isometries and p the 1D linear interpolation: coarse node i is fine
+    node 2i + 1, and the fine nodes on either side take half its value.
     """
     i = np.arange(m)
     rows = (2 * i[:, None] + [0, 1, 2]).ravel()
     p = sp.csr_matrix(
         (np.tile([0.5, 1.0, 0.5], m), (rows, i.repeat(3))), shape=(2 * m + 1, m)
     )
-    return (_even_isometry(2 * m + 1).T @ sp.kron(p, p) @ _even_isometry(m)).tocsr()
+    return sp.kron(p, _even_basis(2 * m + 1).T @ p @ _even_basis(m), format="csr")
 
 
 class _VCycle(LinearOperator):
@@ -315,24 +361,23 @@ class _VCycle(LinearOperator):
         # A is symmetric, so order by minimum degree on A^T + A, not COLAMD
         self.coarse = splu(A[0].tocsc(), permc_spec="MMD_AT_PLUS_A")
         self.solves = 0
-        # per refined level: its matrix, Jacobi weights, prolongation, restriction
+        # per refined level: its matrix, Jacobi weights, prolongation
         self.levels = [
-            (Ak, JACOBI_WEIGHT / Ak.diagonal(), Pi, (0.25 * Pi.T).tocsr())
-            for Ak, Pi in zip(A[1:], prolongs)
+            (Ak, JACOBI_WEIGHT / Ak.diagonal(), Pi) for Ak, Pi in zip(A[1:], prolongs)
         ]
 
     def _matvec(self, b: np.ndarray) -> np.ndarray:
         self.solves += 1
         b = np.ravel(b)
         below = []  # (smoothed x, right-hand side) of each refined level
-        for A, w, _, restrict in reversed(self.levels):
+        for A, w, prolong in reversed(self.levels):
             x = w * b
             for _ in range(JACOBI_SWEEPS - 1):
                 x += w * (b - A @ x)
             below.append((x, b))
-            b = restrict @ (b - A @ x)
+            b = 0.25 * (prolong.T @ (b - A @ x))
         x = self.coarse.solve(b)
-        for A, w, prolong, _ in self.levels:
+        for A, w, prolong in self.levels:
             fine, b = below.pop()
             x = fine + prolong @ x
             for _ in range(JACOBI_SWEEPS):
@@ -415,24 +460,19 @@ def _multigrid_eigenpair(
     return result
 
 
-def _even_reduction(cfg: WedgeConfig, grid: GridSpec):
-    """The grid's matrix H, its even isometry P and the symmetrized
-    even-subspace matrix P^T H P."""
-    H = assemble(cfg, grid)
-    P = _even_isometry(grid.n_interior)
-    R = P.T @ H @ P
-    return H, P, ((R + R.T) * 0.5).tocsr()
-
-
-def _lifted(result: SpectralResult, grid: GridSpec, H, P) -> SpectralResult:
-    """``result``, solved on the even subspace of ``P``, for the full grid.
+def _lifted(cfg: WedgeConfig, grid: GridSpec, result: SpectralResult) -> SpectralResult:
+    """``result``, solved on the grid's even subspace, for the full grid.
 
     The eigenvector is lifted back to the full grid and its residual is
-    taken, and checked like ``lowest_eigenvalue``'s, against the full matrix.
+    taken, and checked like ``lowest_eigenvalue``'s, against ``assemble``'s
+    matrix, an assembly independent of ``_assemble_even``'s.
     """
+    m = grid.n_interior
+    e = _even_basis(m)
     result.grid = grid
-    result.eigenvector = P @ result.eigenvector
-    result.residual_norm = _residual(H, result.eigenvalue, result.eigenvector)
+    # P w: node (i, j) takes e's weight of j times w at (i, e's column of j)
+    result.eigenvector = (result.eigenvector.reshape(m, -1)[:, e.indices] * e.data).ravel()
+    result.residual_norm = _residual(assemble(cfg, grid), result.eigenvalue, result.eigenvector)
     return result
 
 
@@ -492,8 +532,10 @@ def solve(
     grid then has n = max(64, round(L/h)) intervals per half-width.
     Refining doubles n and enlarging doubles L.
     Every level is solved on the even subspace of the y -> -y reflection
-    (about half a million unknowns on the finest grid), and its eigenvector
-    is lifted back to the full grid.  The coarse grid is solved by
+    (about half a million unknowns on the finest grid), with its matrix
+    built there by ``_assemble_even``.  Its eigenvector is lifted back to
+    the full grid, where ``assemble``'s matrix, built after the level's
+    V-cycle is freed, checks its residual.  The coarse grid is solved by
     ``lowest_eigenvalue``, with one factorization per shift; each refined
     grid by LOBPCG from the last level's eigenvector, interpolated,
     preconditioned by a V-cycle that descends through the grids solved
@@ -519,8 +561,10 @@ def solve(
 
     enlargements = 0
     while True:
-        H, P, R = _even_reduction(cfg, grid)
-        result = _lifted(lowest_eigenvalue(R, shift=shift), grid, H, P)
+        R = _assemble_even(cfg, grid)
+        result = lowest_eigenvalue(R, shift=shift)
+        even = result.eigenvector
+        result = _lifted(cfg, grid, result)
         solved.append(result.eigenvalue)
         shift = _next_shift(solved)
         mass = _boundary_mass(result.eigenvector, grid.n_interior)
@@ -532,12 +576,12 @@ def solve(
     reduced, prolongs = [R], []  # the V-cycle's levels, coarse first
     for _ in range(2):
         prolongs.append(_prolongation(grid.n_interior))
-        start = prolongs[-1] @ (P.T @ result.eigenvector)
+        start = prolongs[-1] @ even
         grid = grid.refined()
-        H, P, R = _even_reduction(cfg, grid)
-        reduced.append(R)
+        reduced.append(_assemble_even(cfg, grid))
         result = _multigrid_eigenpair(reduced, prolongs, shift, start)
-        result = _lifted(result, grid, H, P)
+        even = result.eigenvector
+        result = _lifted(cfg, grid, result)
         solved.append(result.eigenvalue)
         shift = _next_shift(solved)
 

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,10 +23,10 @@ from wedgebound import (
 )
 from wedgebound import spectral
 from wedgebound.spectral import (
+    _assemble_even,
     _certified_inverse,
     _certify,
-    _even_isometry,
-    _even_reduction,
+    _even_basis,
     _multigrid_eigenpair,
     _next_shift,
     _prolongation,
@@ -42,6 +43,20 @@ def reflection(m: int) -> sp.csr_matrix:
     idx = np.arange(m * m).reshape(m, m)[:, ::-1].ravel()
     return sp.csr_matrix(
         (np.ones(m * m), (np.arange(m * m), idx)), shape=(m * m, m * m)
+    )
+
+
+def even_isometry(m: int) -> sp.csr_matrix:
+    # the even subspace's orthonormal basis P, node by node: node (i, j) and
+    # its mirror (i, m-1-j) share a column at weight 1/sqrt(2), the node on
+    # the bisector has its own at weight 1
+    half = (m + 1) // 2
+    cols = np.arange(m * half).reshape(m, half)
+    cols = np.hstack([cols, cols[:, -2::-1]])  # column of each node (x-major)
+    vals = np.full((m, m), math.sqrt(0.5))
+    vals[:, half - 1] = 1.0
+    return sp.csr_matrix(
+        (vals.ravel(), (np.arange(m * m), cols.ravel())), shape=(m * m, m * half)
     )
 
 
@@ -97,6 +112,22 @@ class TestAssemble:
         assert res.eigenvalue == pytest.approx(2.0 * (math.pi / 16.0) ** 2, rel=1e-3)
         assert res.eigenvalue > 0.0
 
+    @pytest.mark.parametrize("n", [64, 65, 128])
+    def test_laplacian_is_kron_sum(self, n):
+        # the stencil written directly is the Kronecker sum, bit for bit
+        g = GridSpec(12.0, n)
+        m, h2 = g.n_interior, g.h * g.h
+        k1 = sp.diags(
+            [np.full(m - 1, -1.0), np.full(m, 2.0), np.full(m - 1, -1.0)],
+            offsets=[-1, 0, 1],
+            format="csr",
+        ) / h2
+        eye = sp.identity(m, format="csr")
+        expected = (sp.kron(k1, eye) + sp.kron(eye, k1)).tocsr()
+        got = dirichlet_laplacian(g)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(expected, field))
+
     def test_exact_symmetry(self):
         H = assemble(WedgeConfig(0.7, 1.0), GridSpec(12.0, 64))
         assert abs(H - H.T).max() == 0.0
@@ -121,9 +152,9 @@ class TestAssemble:
         # sign change
         L = 8.0 / alpha
         g = GridSpec(L, 64)  # the coarsest grid GridSpec allows
-        H = assemble(WedgeConfig(theta, alpha), g)
-        P = _even_isometry(g.n_interior)
-        for M in (H.tocoo(), (P.T @ H @ P).tocoo()):
+        cfg = WedgeConfig(theta, alpha)
+        H = assemble(cfg, g)
+        for M in (H.tocoo(), _assemble_even(cfg, g).tocoo()):
             assert not np.any(M.data[M.row != M.col] > 0.0)
         # the even-subspace restriction rests on an exact reflection symmetry
         m = g.n_interior
@@ -202,7 +233,7 @@ class TestLowestEigenvalue:
     def test_one_level_inverse_is_the_factor(self):
         # with no refined level the V-cycle is the coarse factor's solve, and
         # its certificate's CG stops after one application
-        R = _even_reduction(WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64))[2]
+        R = _assemble_even(WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64))
         sigma = -2.0
         certified, inverse = _certified_inverse([R], [], sigma)
         assert (certified, inverse.solves) == (sigma, 1)
@@ -216,7 +247,7 @@ class TestLowestEigenvalue:
         # just below the discretized line states, a gap that shift-invert
         # Lanczos resolves and LOBPCG from a flat start, even with the exact
         # inverse, does not within its iteration cap
-        _, _, R = _even_reduction(WedgeConfig(1.55, 8.0), GridSpec(12.0, 64))
+        R = _assemble_even(WedgeConfig(1.55, 8.0), GridSpec(12.0, 64))
         lam0 = min(eigsh(R, k=2, sigma=-128.0, which="LM", return_eigenvectors=False))
         res = lowest_eigenvalue(R, shift=-128.0)
         assert res.eigenvalue == pytest.approx(lam0, rel=1e-9, abs=0.0)
@@ -229,8 +260,8 @@ class TestLowestEigenvalue:
         # solve() shifts a coarse re-solve in an enlarged box by _next_shift;
         # 22 solves against 52 at -2 here
         cfg, coarse = WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64)
-        lam = lowest_eigenvalue(_even_reduction(cfg, coarse)[2], shift=-2.0).eigenvalue
-        R = _even_reduction(cfg, coarse.enlarged())[2]
+        lam = lowest_eigenvalue(_assemble_even(cfg, coarse), shift=-2.0).eigenvalue
+        R = _assemble_even(cfg, coarse.enlarged())
         fixed = lowest_eigenvalue(R, shift=-2.0)
         near = lowest_eigenvalue(R, shift=_next_shift([lam]))
         assert (fixed.shift, near.shift) == (-2.0, _next_shift([lam]))
@@ -294,15 +325,28 @@ class TestSolve:
 
     def test_refuses_grid_beyond_memory_before_assembling(self, monkeypatch):
         # L/h = 12,000 would put about 9.2e9 nodes on the finest level;
-        # L/h = MAX_INTERVALS passes the check and reaches assemble
+        # L/h = MAX_INTERVALS passes the check and reaches the first assembly
         def assembled(*args):
             raise AssertionError("assembled")
 
-        monkeypatch.setattr(spectral, "assemble", assembled)
+        monkeypatch.setattr(spectral, "_assemble_even", assembled)
         with pytest.raises(DomainError, match="at most 256"):
             solve(WedgeConfig(PI_4, 1.0), L=12.0, h=0.001)
         with pytest.raises(AssertionError, match="assembled"):
             solve(WedgeConfig(PI_4, 1.0), L=12.0, h=12.0 / spectral.MAX_INTERVALS)
+
+    def test_peak_memory_per_finest_node(self, monkeypatch):
+        # the full grid is assembled only for each level's lifted residual
+        # check, after its V-cycle is freed: 307 bytes per node when the full
+        # matrix was kept through the V-cycle, 210 without
+        monkeypatch.setattr(spectral, "MAX_ENLARGEMENTS", 0)
+        tracemalloc.start()
+        try:
+            res = solve(WedgeConfig(PI_4, 1.0), L=12.0, h=12.0 / 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 260 * res.grid.n_interior**2
 
     def test_leaves_no_reference_cycle(self, monkeypatch):
         # in-process callers (sweep, the benchmark) keep a flat peak RSS only
@@ -319,11 +363,40 @@ class TestSolve:
 
 class TestEvenSubspace:
     def test_isometry(self):
+        # P = I kron e is an isometry onto the even functions if e is
         m = 7
-        P = _even_isometry(m)
-        assert P.shape == (m * m, m * (m + 1) // 2)
-        assert abs(P.T @ P - sp.identity(P.shape[1])).max() <= 1e-15
-        assert abs(reflection(m) @ P - P).max() == 0.0
+        e = _even_basis(m)
+        assert e.shape == (m, (m + 1) // 2)
+        assert abs(e.T @ e - sp.identity(e.shape[1])).max() <= 1e-15
+        assert (e[::-1] != e).nnz == 0
+        assert (sp.kron(sp.identity(m), e) != even_isometry(m)).nnz == 0
+
+    @pytest.mark.parametrize("n", [64, 65, 128])
+    @pytest.mark.parametrize("alpha", [0.5, 3.0])
+    @pytest.mark.parametrize("theta", [0.2, PI_4, 1.5])
+    def test_assembled_from_factors(self, theta, alpha, n):
+        # against the reduction of the full grid's matrix, symmetrized
+        cfg, g = WedgeConfig(theta, alpha), GridSpec(8.0 / alpha, n)
+        P = even_isometry(g.n_interior)
+        expected = P.T @ assemble(cfg, g) @ P
+        expected = (expected + expected.T) * 0.5
+        R = _assemble_even(cfg, g)
+        assert abs(R - expected).max() <= 1e-13 * abs(R).max()
+        assert (R != R.T).nnz == 0
+        C = R.tocoo()
+        assert not np.any(C.data[C.row != C.col] > 0.0)
+
+    @pytest.mark.parametrize("m", [127, 129, 255])
+    def test_prolongation_is_the_reduced_product(self, m):
+        i = np.arange(m)
+        rows = (2 * i[:, None] + [0, 1, 2]).ravel()
+        p = sp.csr_matrix(
+            (np.tile([0.5, 1.0, 0.5], m), (rows, i.repeat(3))), shape=(2 * m + 1, m)
+        )
+        expected = (even_isometry(2 * m + 1).T @ sp.kron(p, p) @ even_isometry(m)).tocsr()
+        got = _prolongation(m)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(expected, field))
 
     @pytest.fixture(scope="class")
     def reduced(self):
@@ -357,8 +430,7 @@ class TestEvenSubspace:
         cfg = WedgeConfig(theta, alpha)
         L = 8.0 / alpha
         g = GridSpec(L, 64)
-        _, _, R = _even_reduction(cfg, g)
-        even = lowest_eigenvalue(R, -2.0 * alpha**2)
+        even = lowest_eigenvalue(_assemble_even(cfg, g), -2.0 * alpha**2)
         full = lowest_eigenvalue(assemble(cfg, g), -2.0 * alpha**2)
         assert even.eigenvalue == pytest.approx(full.eigenvalue, rel=1e-9, abs=0.0)
 
@@ -460,7 +532,7 @@ class TestRefinedLevel:
     def levels(self):
         # lambda_0 = -0.2541 and lambda_1 = -0.1539 on the refined even subspace
         cfg, g = WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64)
-        Rc, R = (_even_reduction(cfg, grid)[2] for grid in (g, g.refined()))
+        Rc, R = (_assemble_even(cfg, grid) for grid in (g, g.refined()))
         prolong = _prolongation(g.n_interior)
         start = prolong @ lowest_eigenvalue(Rc, shift=-2.0).eigenvector
         lams, vecs = eigsh(R, k=2, sigma=-2.0, which="LM")
