@@ -143,6 +143,11 @@ def cmd_verify(args) -> tuple[dict, dict]:
     }
 
 
+def _bound_thm2(alpha: float, capital_lambda: float) -> float:
+    """Theorem 2's bound -alpha^2 (1/4 + Lambda(theta))."""
+    return -_pow(alpha, 2) * (0.25 + capital_lambda)
+
+
 def cmd_optimize(args) -> tuple[dict, dict]:
     cfg = _cfg(args)
     params, rep = optimize_bound(cfg)
@@ -151,7 +156,7 @@ def cmd_optimize(args) -> tuple[dict, dict]:
         "n": params.n,
         "quotient": rep.quotient,
         "margin": rep.margin,
-        "bound_thm2": -cfg.alpha**2 * (0.25 + lambda_upper(cfg.theta)),
+        "bound_thm2": _bound_thm2(cfg.alpha, lambda_upper(cfg.theta)),
     }
 
 
@@ -184,7 +189,7 @@ def _sweep_row(theta: float, args) -> dict:
         cfg = WedgeConfig(theta=theta, alpha=args.alpha)
         lam = lambda_upper(theta)
         row["capital_lambda"] = lam
-        row["bound_thm2"] = -_pow(args.alpha, 2) * (0.25 + lam)
+        row["bound_thm2"] = _bound_thm2(args.alpha, lam)
         _, rep = optimize_bound(cfg)
         row["bound_optimized"] = rep.quotient
         status = "ok"
@@ -204,6 +209,8 @@ def _sweep_row(theta: float, args) -> dict:
 
 
 def cmd_sweep(args) -> tuple[dict, dict]:
+    # WedgeConfig's check of alpha, before any row runs (it admits theta = pi/2)
+    WedgeConfig(theta=math.pi / 2, alpha=args.alpha)
     if args.theta_steps < 2:
         raise DomainError("--theta-steps must be at least 2")
     lo, hi = args.theta_min, args.theta_max

@@ -15,9 +15,10 @@ three grids.  The ground state of a reflection-symmetric operator is
 positive, hence even, so solve() restricts every grid level to the even
 subspace (about half the unknowns).  It builds that level's matrix R from
 1D factors, the 5-point stencil on the half grid and the +theta ray's
-samples, without forming the full grid's matrix; then it lifts the
-eigenvector back to the full grid and checks its residual again against
-``assemble``'s matrix, built only for that check.  Every level
+samples, without forming the full grid's matrix; then ``_lifted`` lifts
+the eigenvector back to the full grid, checks its residual again against
+``assemble``'s matrix, built only for that check, and takes its boundary
+mass, from which solve() decides whether to enlarge the box.  Every level
 has one certified inverse of R - sigma*I, a multigrid V-cycle (weighted
 Jacobi smoothing, bilinear transfer between the levels' even subspaces, an
 exact solve with a factor of the coarse grid), which on the coarse grid
@@ -59,8 +60,6 @@ __all__ = [
     "GridSpec",
     "SpectralResult",
     "assemble",
-    "dirichlet_laplacian",
-    "delta_line_matrix",
     "lowest_eigenvalue",
     "solve",
 ]
@@ -155,12 +154,6 @@ def _five_point(lines: int, k: int, h2: float, edge: float) -> sp.csr_matrix:
     return sp.diags([x, y, np.full(N, 4.0 / h2), y, x], [-k, -1, 0, 1, k], format="csr")
 
 
-def dirichlet_laplacian(grid: GridSpec) -> sp.csr_matrix:
-    """5-point Dirichlet Laplacian on the interior nodes (x-major ordering)."""
-    m = grid.n_interior
-    return _five_point(m, m, grid.h * grid.h, 1.0)
-
-
 def _ray_samples(cfg: WedgeConfig, grid: GridSpec) -> tuple[sp.csr_matrix, np.ndarray]:
     """``(S, w)``: the +theta ray sampled at arc-length spacing h, row k of S
     the bilinear stencil of sample k on the interior nodes, and w the
@@ -187,24 +180,6 @@ def _ray_samples(cfg: WedgeConfig, grid: GridSpec) -> tuple[sp.csr_matrix, np.nd
     return S, trapezoid
 
 
-def delta_line_matrix(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
-    """Line-term matrix: trapezoid-weighted sum of interpolation outer products.
-
-    The +theta ray is sampled at arc-length spacing h; row k of the sample
-    matrix S is the bilinear stencil of sample k.  The -theta ray's part is
-    the mirror image of the +theta ray's, node (i, j) to (i, n - j).
-    """
-    m = grid.n_interior
-    S, w = _ray_samples(cfg, grid)
-    D = (S.T @ sp.diags(w) @ S).tocoo()
-    # add the mirror image, interior column c to c + (m - 1) - 2 * (c % m);
-    # each entry becomes a + b, the same float as its mirror's b + a
-    rows, cols = (np.concatenate([c, c + (m - 1) - 2 * (c % m)]) for c in (D.row, D.col))
-    D = sp.csr_matrix((np.tile(D.data, 2), (rows, cols)), shape=D.shape)
-    # symmetric by construction; remove rounding asymmetry from the matmul
-    return ((D + D.T) * 0.5).tocsr()
-
-
 def _coupling(cfg: WedgeConfig, grid: GridSpec) -> float:
     """The line term's factor alpha/h^2; DomainError if the box is too small."""
     if grid.L < 8.0 / cfg.alpha:
@@ -216,9 +191,24 @@ def _coupling(cfg: WedgeConfig, grid: GridSpec) -> float:
 
 
 def assemble(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
-    """Discretized operator: Laplacian minus the coupling times the line term."""
+    """Discretized operator on the full grid: the 5-point Dirichlet
+    Laplacian (x-major ordering) minus the coupling times the line term.
+
+    The line term is the trapezoid-weighted sum of interpolation outer
+    products: S^T W S for the +theta ray's samples (``_ray_samples``), plus
+    its mirror image for the -theta ray, node (i, j) to (i, n - j).
+    """
     coupling = _coupling(cfg, grid)
-    return (dirichlet_laplacian(grid) - coupling * delta_line_matrix(cfg, grid)).tocsr()
+    m = grid.n_interior
+    S, w = _ray_samples(cfg, grid)
+    D = (S.T @ sp.diags(w) @ S).tocoo()
+    # add the mirror image, interior column c to c + (m - 1) - 2 * (c % m);
+    # each entry becomes a + b, the same float as its mirror's b + a
+    rows, cols = (np.concatenate([c, c + (m - 1) - 2 * (c % m)]) for c in (D.row, D.col))
+    D = sp.csr_matrix((np.tile(D.data, 2), (rows, cols)), shape=D.shape)
+    # symmetric by construction; remove rounding asymmetry from the matmul
+    line = (D + D.T) * 0.5
+    return (_five_point(m, m, grid.h * grid.h, 1.0) - coupling * line).tocsr()
 
 
 def _assemble_even(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
@@ -465,7 +455,8 @@ def _lifted(cfg: WedgeConfig, grid: GridSpec, result: SpectralResult) -> Spectra
 
     The eigenvector is lifted back to the full grid and its residual is
     taken, and checked like ``lowest_eigenvalue``'s, against ``assemble``'s
-    matrix, an assembly independent of ``_assemble_even``'s.
+    matrix, an assembly independent of ``_assemble_even``'s.  Its boundary
+    mass is the share of its squared norm on the nodes next to the boundary.
     """
     m = grid.n_interior
     e = _even_basis(m)
@@ -473,18 +464,15 @@ def _lifted(cfg: WedgeConfig, grid: GridSpec, result: SpectralResult) -> Spectra
     # P w: node (i, j) takes e's weight of j times w at (i, e's column of j)
     result.eigenvector = (result.eigenvector.reshape(m, -1)[:, e.indices] * e.data).ravel()
     result.residual_norm = _residual(assemble(cfg, grid), result.eigenvalue, result.eigenvector)
-    return result
-
-
-def _boundary_mass(v: np.ndarray, m: int) -> float:
-    g = v.reshape(m, m)
+    g = result.eigenvector.reshape(m, m)
     ring = (
         np.sum(g[0, :] ** 2)
         + np.sum(g[-1, :] ** 2)
         + np.sum(g[1:-1, 0] ** 2)
         + np.sum(g[1:-1, -1] ** 2)
     )
-    return float(ring / np.sum(g**2))
+    result.boundary_mass = float(ring / np.sum(g**2))
+    return result
 
 
 def _fit_extrapolate(hs: tuple[float, float, float], lams: tuple[float, float, float]):
@@ -533,21 +521,23 @@ def solve(
     Refining doubles n and enlarging doubles L.
     Every level is solved on the even subspace of the y -> -y reflection
     (about half a million unknowns on the finest grid), with its matrix
-    built there by ``_assemble_even``.  Its eigenvector is lifted back to
-    the full grid, where ``assemble``'s matrix, built after the level's
-    V-cycle is freed, checks its residual.  The coarse grid is solved by
-    ``lowest_eigenvalue``, with one factorization per shift; each refined
-    grid by LOBPCG from the last level's eigenvector, interpolated,
-    preconditioned by a V-cycle that descends through the grids solved
-    before it to the coarse grid's factor.  The first solve uses the shift
-    -2*alpha^2 and every later one, coarse re-solves after an enlargement
-    included, ``_next_shift`` of the eigenvalues solved before it; every
-    shift is certified below the spectrum before its iteration runs.  If
-    the coarse eigenfunction leaves more than 1e-10 of its mass within one
-    spacing of the boundary, the box is doubled (unknown count kept) and the
-    solve repeats, at most ``MAX_ENLARGEMENTS`` times; near theta = pi/2 the
-    extended state along the line keeps some mass at the boundary at any box
-    size, so the cap is a hard stop.
+    built there by ``_assemble_even``.  ``_lifted`` lifts its eigenvector
+    back to the full grid, where ``assemble``'s matrix, built after the
+    level's V-cycle is freed, checks its residual, and sets its boundary
+    mass; solve() touches no full-grid vector or matrix itself.  The
+    coarse grid is solved by ``lowest_eigenvalue``, with one factorization
+    per shift; each refined grid by LOBPCG from the last level's
+    eigenvector, interpolated, preconditioned by a V-cycle that descends
+    through the grids solved before it to the coarse grid's factor.  The
+    first solve uses the shift -2*alpha^2 and every later one, coarse
+    re-solves after an enlargement included, ``_next_shift`` of the
+    eigenvalues solved before it; every shift is certified below the
+    spectrum before its iteration runs.  If the coarse eigenfunction's
+    boundary mass is above ``BOUNDARY_MASS_LIMIT`` (1e-10), the box is
+    doubled (unknown count kept) and the solve repeats, at most
+    ``MAX_ENLARGEMENTS`` times; near theta = pi/2 the extended state along
+    the line keeps some mass at the boundary at any box size, so the cap is
+    a hard stop.
     """
     if L is None:
         L = max(8.0 / cfg.alpha, 12.0)
@@ -567,8 +557,7 @@ def solve(
         result = _lifted(cfg, grid, result)
         solved.append(result.eigenvalue)
         shift = _next_shift(solved)
-        mass = _boundary_mass(result.eigenvector, grid.n_interior)
-        if mass <= BOUNDARY_MASS_LIMIT or enlargements >= MAX_ENLARGEMENTS:
+        if result.boundary_mass <= BOUNDARY_MASS_LIMIT or enlargements >= MAX_ENLARGEMENTS:
             break
         grid = grid.enlarged()
         enlargements += 1
@@ -588,7 +577,6 @@ def solve(
     lams = tuple(solved[-3:])
     hs = (4.0 * grid.h, 2.0 * grid.h, grid.h)
     result.extrapolated, result.error_estimate = _fit_extrapolate(hs, lams)
-    result.boundary_mass = _boundary_mass(result.eigenvector, grid.n_interior)
     result.enlargements = enlargements
     result.grid_eigenvalues = lams
     return result

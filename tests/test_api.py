@@ -34,7 +34,8 @@ CLI_OPTIONS = {
     for option in options.split()
 }
 
-# the package's public names: what the commands run, and nothing else
+# the package's public names: what the commands run, and the paper's
+# closed-form checks closed_J and quad_J, which criterion 3 and the tests call
 PUBLIC_NAMES = {
     "BoundReport", "ConvergenceError", "DomainError", "GridSpec", "QuadratureEstimate",
     "RayleighReport", "SpectralResult", "TrialParams", "WedgeConfig", "assemble",
@@ -71,6 +72,9 @@ def test_cli_options_are_pinned():
 
 def test_public_names_are_pinned():
     assert sorted(wedgebound.__all__) == sorted(PUBLIC_NAMES)
+    assert sorted(spectral.__all__) == [
+        "GridSpec", "SpectralResult", "assemble", "lowest_eigenvalue", "solve",
+    ]
     # a stale entry would break `from wedgebound import *`; the spectral
     # names resolve lazily, through the module's __getattr__
     for name in wedgebound.__all__:
@@ -89,22 +93,32 @@ def test_quadrature_knows_only_the_error_type_of_trial():
     assert quad_J.__module__ == variational.__name__
 
 
-def test_closed_form_commands_load_no_solver():
+def test_closed_form_commands_load_no_solver(tmp_path):
     # bound and the Rayleigh quotients need no eigensolver, so a command
-    # that does not solve must not pay for importing SciPy
+    # that does not solve must not pay for importing SciPy; fit refuses the
+    # solver-less sweep's table, which has no lambda_fd to fit
     script = """
 import json, sys
 from wedgebound import cli
-codes = [cli.main(["bound", "--theta", "0.7"]), cli.main(["optimize", "--theta", "0.7"])]
+table = sys.argv[1]
+runs = [
+    ["bound", "--theta", "0.7"],
+    ["rayleigh", "--theta", "0.7"],
+    ["verify", "--theta", "0.7"],
+    ["optimize", "--theta", "0.7"],
+    ["sweep", "--theta-min", "0.5", "--theta-max", "0.9", "--theta-steps", "2", "--out", table],
+    ["fit", table, "--side", "zero"],
+]
+codes = [cli.main(argv) for argv in runs]
 loaded = sorted(m for m in sys.modules
                 if m == "scipy" or m.startswith("scipy.") or m == "wedgebound.spectral")
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sweep.csv")], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"codes": [0, 0], "loaded": []}
+    assert seen == {"codes": [0, 0, 0, 0, 0, 1], "loaded": []}
 
 
 def test_spectral_names_resolve_on_access():

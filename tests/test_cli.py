@@ -262,6 +262,17 @@ class TestSweep:
             assert float(r["bound_optimized"]) <= float(r["bound_thm2"])
             assert r["lambda_fd"] == ""  # solver not requested
 
+    def test_degrees(self, capsys):
+        # the theta range converts like bound's --theta
+        lo, hi = math.radians(30.0), math.radians(60.0)
+        argv = ["sweep", "--theta-steps", "2", "--format", "json"]
+        _, deg_out, _ = run(capsys, *argv, "--degrees", "--theta-min", "30", "--theta-max", "60")
+        _, rad_out, _ = run(capsys, *argv, "--theta-min", repr(lo), "--theta-max", repr(hi))
+        deg = json.loads(deg_out)
+        assert (deg["inputs"]["theta_min"], deg["inputs"]["theta_max"]) == (lo, hi)
+        assert [r["status"] for r in deg["results"]["rows"]] == ["ok", "ok"]
+        assert deg == json.loads(rad_out)
+
     def test_row_error_does_not_abort(self, capsys):
         # theta grid ends where the optimizer is degenerate: at pi/2, and
         # 1e-9 below it, where sin^2 theta rounds to 1
@@ -354,6 +365,9 @@ class TestInvalidNumbers:
             # h^2 underflows; (2n - 1)^2 unknowns overflow an array index
             ["solve", "--theta", "0.7", "--box", "12", "--spacing", "1e-300"],
             ["solve", "--theta", "0.7", "--box", "12", "--spacing", "1e-100"],
+            # refused before any row runs, as every other subcommand refuses it
+            *(["sweep", "--theta-min", "0.5", "--theta-max", "0.9", "--theta-steps", "2",
+                "--alpha", alpha] for alpha in ("nan", "inf", "0", "-1")),
         ],
     )
     def test_exit_1(self, capsys, argv):

@@ -27,12 +27,11 @@ from wedgebound.spectral import (
     _certified_inverse,
     _certify,
     _even_basis,
+    _five_point,
     _multigrid_eigenpair,
     _next_shift,
     _prolongation,
     _residual,
-    delta_line_matrix,
-    dirichlet_laplacian,
 )
 from conftest import delta_well_1d
 
@@ -108,7 +107,8 @@ class TestGridSpec:
 class TestAssemble:
     def test_laplacian_ground_state(self):
         g = GridSpec(L=8.0, n=64)
-        res = lowest_eigenvalue(dirichlet_laplacian(g), shift=-0.5)
+        m = g.n_interior
+        res = lowest_eigenvalue(_five_point(m, m, g.h * g.h, 1.0), shift=-0.5)
         assert res.eigenvalue == pytest.approx(2.0 * (math.pi / 16.0) ** 2, rel=1e-3)
         assert res.eigenvalue > 0.0
 
@@ -124,7 +124,7 @@ class TestAssemble:
         ) / h2
         eye = sp.identity(m, format="csr")
         expected = (sp.kron(k1, eye) + sp.kron(eye, k1)).tocsr()
-        got = dirichlet_laplacian(g)
+        got = _five_point(m, m, h2, 1.0)
         for field in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, field), getattr(expected, field))
 
@@ -162,8 +162,10 @@ class TestAssemble:
         assert (H[idx][:, idx] != H).nnz == 0
 
     def test_delta_term_negative_semidefinite_direction(self):
+        # the line term times the coupling, which assemble subtracts
         g = GridSpec(12.0, 64)
-        D = delta_line_matrix(WedgeConfig(0.9, 1.0), g)
+        m = g.n_interior
+        D = _five_point(m, m, g.h * g.h, 1.0) - assemble(WedgeConfig(0.9, 1.0), g)
         rng = np.random.default_rng(0)
         for _ in range(5):
             v = rng.standard_normal(D.shape[0])
