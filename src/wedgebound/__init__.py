@@ -1,66 +1,34 @@
 """Variational eigenvalue bounds for the broken-line delta-interaction
 Schrodinger operator, with an independent finite-difference cross-check.
 
-The finite-difference names (``GridSpec``, ``SpectralResult``, ``assemble``,
-``lowest_eigenvalue``, ``solve``) load ``spectral``, and with it SciPy, on
-first access; the bound and the Rayleigh quotients need neither.
+Every public name loads its defining module on first access, so
+``import wedgebound`` loads no submodule, and only the finite-difference
+names (``GridSpec``, ``SpectralResult``, ``assemble``, ``lowest_eigenvalue``,
+``solve``) load ``spectral``, and with it SciPy.
 """
 
-from .trial import (
-    BoundReport,
-    DomainError,
-    TrialParams,
-    WedgeConfig,
-    bound_constants,
-    closed_J,
-    closed_R,
-    lambda_upper,
-)
-from .quadrature import ConvergenceError, QuadratureEstimate, integrate
-from .variational import RayleighReport, optimize_bound, quad_J, rayleigh, verify_thm1
-
-_SPECTRAL_NAMES = (
-    "GridSpec",
-    "SpectralResult",
-    "assemble",
-    "lowest_eigenvalue",
-    "solve",
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "ConvergenceError",
-    "DomainError",
-    "GridSpec",
-    "QuadratureEstimate",
-    "RayleighReport",
-    "SpectralResult",
-    "TrialParams",
-    "WedgeConfig",
-    "assemble",
-    "bound_constants",
-    "closed_J",
-    "closed_R",
-    "integrate",
-    "lambda_upper",
-    "lowest_eigenvalue",
-    "optimize_bound",
-    "quad_J",
-    "rayleigh",
-    "solve",
-    "verify_thm1",
-]
+# each module's public names, exported here and loaded on first access
+_NAMES = {
+    "trial": ("BoundReport", "ConvergenceError", "DomainError", "TrialParams", "WedgeConfig",
+              "bound_constants", "closed_J", "closed_R", "lambda_upper"),
+    "quadrature": ("QuadratureEstimate", "integrate"),
+    "variational": ("RayleighReport", "optimize_bound", "quad_J", "rayleigh", "verify_thm1"),
+    "spectral": ("GridSpec", "SpectralResult", "assemble", "lowest_eigenvalue", "solve"),
+}
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _SPECTRAL_NAMES:
-        from . import spectral
-
-        return getattr(spectral, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_SPECTRAL_NAMES))
+    return sorted(set(globals()) | set(__all__))

@@ -19,8 +19,8 @@ import sys
 
 import numpy as np
 
-from .quadrature import ConvergenceError
 from .trial import (
+    ConvergenceError,
     DomainError,
     TrialParams,
     WedgeConfig,

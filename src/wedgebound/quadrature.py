@@ -18,10 +18,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .trial import DomainError
+from .trial import ConvergenceError, DomainError
 
 __all__ = [
-    "ConvergenceError",
     "QuadratureEstimate",
     "integrate",
 ]
@@ -37,10 +36,6 @@ _K = _GL_X.size
 # half, then of the whole panel, which is needed only for a panel's first round
 _NODES = np.concatenate([(_GL_X + 1.0) / 4.0, (_GL_X + 3.0) / 4.0, (_GL_X + 1.0) / 2.0])
 _WEIGHTS = np.concatenate([_GL_W / 4.0, _GL_W / 4.0, _GL_W / 2.0])
-
-
-class ConvergenceError(RuntimeError):
-    """A numerical routine failed to reach its requested accuracy."""
 
 
 @dataclass(frozen=True)

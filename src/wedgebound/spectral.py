@@ -53,8 +53,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, lobpcg, splu
 
-from .quadrature import ConvergenceError
-from .trial import DomainError, WedgeConfig, _pow
+from .trial import ConvergenceError, DomainError, WedgeConfig, _pow
 
 __all__ = [
     "GridSpec",

@@ -7,7 +7,8 @@ exp(-alpha*|x1|/2) * F(x2*tan(theta))**rho * chi(x2/n), and
 ``log_profile_F`` is the package's one implementation of its profile F.
 The integrals of the trial family live in :mod:`wedgebound.variational`:
 its Rayleigh quotients compute the optimized bound by quadrature, and its
-``quad_J`` checks the closed form J.
+``quad_J`` checks the closed form J.  The package's two error types,
+``DomainError`` and ``ConvergenceError``, are defined here too.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "ConvergenceError",
     "DomainError",
     "WedgeConfig",
     "TrialParams",
@@ -32,6 +34,10 @@ __all__ = [
 
 class DomainError(ValueError):
     """Input outside the admissible parameter range."""
+
+
+class ConvergenceError(RuntimeError):
+    """A numerical routine failed to reach its requested accuracy."""
 
 
 @dataclass(frozen=True)
@@ -71,9 +77,11 @@ class TrialParams:
     n: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rho < math.inf and 0.0 < self.n < math.inf):
+        # the trial function's support (-2n, 2n) must be finite too
+        if not (0.0 < self.rho < math.inf and 0.0 < 2.0 * self.n < math.inf):
             raise DomainError(
-                f"rho and n must be positive and finite, got rho={self.rho}, n={self.n}"
+                "rho and n must be positive and finite, and so must the support"
+                f" (-2n, 2n), got rho={self.rho}, n={self.n}"
             )
 
 
@@ -178,14 +186,16 @@ def lambda_upper(theta: float) -> float:
 def bound_constants(cfg: WedgeConfig) -> BoundReport:
     """Assemble every intermediate of the closed-form bound at rho = cos^2 theta.
 
-    Degenerate where a = 0: at theta = pi/2, and wherever sin^2 theta rounds to 1.
+    Degenerate where a = 0: at theta = pi/2, wherever sin^2 theta rounds to 1,
+    and wherever alpha**(-2 cos^2 theta) underflows.
     """
     cos_sq = math.cos(cfg.theta) ** 2
     sin_sq = math.sin(cfg.theta) ** 2
     a = -closed_R(cfg, cos_sq)
     if not a > 0.0:
         raise DomainError(
-            "theta = pi/2 is degenerate for the bound (a = 0, n_opt undefined)"
+            f"the bound is degenerate at theta = {cfg.theta}, alpha = {cfg.alpha}:"
+            " a = 0, so n_opt is undefined"
         )
     big_b = _big_b(cos_sq)
     alpha_pow = _pow(cfg.alpha, -(2.0 * cos_sq + 1.0))

@@ -24,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import ConvergenceError, QuadratureEstimate, integrate
-from .trial import DomainError, TrialParams, WedgeConfig, bound_constants, log_profile_F
-from .trial import _check_rho, _pow
+from .quadrature import QuadratureEstimate, integrate
+from .trial import ConvergenceError, DomainError, TrialParams, WedgeConfig, bound_constants
+from .trial import _check_rho, _pow, log_profile_F
 
 __all__ = [
     "RayleighReport",

@@ -75,22 +75,46 @@ def test_public_names_are_pinned():
     assert sorted(spectral.__all__) == [
         "GridSpec", "SpectralResult", "assemble", "lowest_eigenvalue", "solve",
     ]
-    # a stale entry would break `from wedgebound import *`; the spectral
-    # names resolve lazily, through the module's __getattr__
+    # a stale entry would break `from wedgebound import *`; every name
+    # resolves lazily, through the package's __getattr__, to the object its
+    # defining module exports
+    modules = {m.__name__: m for m in (trial, quadrature, variational, spectral)}
     for name in wedgebound.__all__:
-        getattr(wedgebound, name)
+        home = modules[f"wedgebound.{wedgebound._HOME[name]}"]
+        assert name in home.__all__
+        assert getattr(wedgebound, name) is getattr(home, name)
 
 
 def test_quadrature_knows_only_the_error_type_of_trial():
     # every integral of the trial family lives in variational; quadrature
-    # shares only trial's DomainError
+    # shares only trial's two error types
     from_trial = {
         name
         for name, obj in vars(quadrature).items()
         if getattr(obj, "__module__", None) == trial.__name__
     }
-    assert from_trial == {"DomainError"}
+    assert from_trial == {"ConvergenceError", "DomainError"}
     assert quad_J.__module__ == variational.__name__
+
+
+def test_import_loads_no_submodule():
+    # every public name loads its module on first access, so the package
+    # itself imports neither a submodule nor numpy, and the FD solver no
+    # quadrature
+    script = """
+import json, sys
+import wedgebound
+first = sorted(m for m in sys.modules if m.startswith(("wedgebound.", "numpy")))
+wedgebound.solve
+then = sorted(m for m in sys.modules if m.startswith("wedgebound."))
+print(json.dumps([first, then]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    first, then = json.loads(proc.stdout.splitlines()[-1])
+    assert first == []
+    assert then == ["wedgebound.spectral", "wedgebound.trial"]
 
 
 def test_closed_form_commands_load_no_solver(tmp_path):
@@ -123,9 +147,10 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 
 def test_spectral_names_resolve_on_access():
     assert wedgebound.solve is spectral.solve
-    from wedgebound import GridSpec
+    from wedgebound import ConvergenceError, GridSpec
 
     assert GridSpec is spectral.GridSpec
+    assert ConvergenceError is trial.ConvergenceError
     with pytest.raises(AttributeError):
         wedgebound.no_such_name
     assert set(wedgebound.__all__) <= set(dir(wedgebound))

@@ -368,6 +368,11 @@ class TestInvalidNumbers:
             # refused before any row runs, as every other subcommand refuses it
             *(["sweep", "--theta-min", "0.5", "--theta-max", "0.9", "--theta-steps", "2",
                 "--alpha", alpha] for alpha in ("nan", "inf", "0", "-1")),
+            # alpha**(-2 cos^2 theta) underflows, so the bound's a is 0
+            ["bound", "--theta", "0.7", "--alpha", "1e300"],
+            ["rayleigh", "--theta", "0.7", "--alpha", "1e300"],
+            ["optimize", "--theta", "0.7", "--alpha", "1e300"],
+            ["optimize", "--theta", "0.7", "--alpha", "1e278"],
         ],
     )
     def test_exit_1(self, capsys, argv):
@@ -375,6 +380,20 @@ class TestInvalidNumbers:
         assert code == 1
         assert out == ""
         assert err.startswith("wedgebound: invalid input: ")
+
+    def test_underflowing_a_is_not_blamed_on_pi_half(self, capsys):
+        _, _, err = run(capsys, "bound", "--theta", "0.7", "--alpha", "1e300")
+        assert err == (
+            "wedgebound: invalid input: the bound is degenerate at theta = 0.7,"
+            " alpha = 1e+300: a = 0, so n_opt is undefined\n"
+        )
+
+    def test_overflowing_support_names_n(self, capsys):
+        # n is finite, but the trial support (-2n, 2n) is not
+        code, _, err = run(capsys, "rayleigh", "--theta", "0.7", "--n", "1e308")
+        assert code == 1
+        assert err.startswith("wedgebound: invalid input: rho and n must be positive")
+        assert "support (-2n, 2n)" in err and "n=1e+308" in err
 
     def test_sweep_rows_report_bad_spacing(self, capsys):
         for spacing in ("0", "1e-300", "1e-100", "0.001"):

@@ -41,7 +41,10 @@ class TestWedgeConfig:
 
 
 class TestTrialParams:
-    @pytest.mark.parametrize("rho, n", [(math.inf, 1.0), (0.5, math.inf), (0.5, math.nan)])
+    # at n = 1e308 the support (-2n, 2n) overflows
+    @pytest.mark.parametrize(
+        "rho, n", [(math.inf, 1.0), (0.5, math.inf), (0.5, math.nan), (0.5, 1e308)]
+    )
     def test_rejects_non_finite(self, rho, n):
         with pytest.raises(DomainError):
             TrialParams(rho=rho, n=n)
