@@ -3,8 +3,12 @@
 All outputs are deterministic for a given invocation; JSON reports carry a
 pinned schema version and floats serialize via shortest round-trip decimals.
 Each ``cmd_*`` returns its report's inputs and results; ``main`` wraps them
-in the report and emits it, only once the command has succeeded.  The FD
-solver, and with it SciPy, is imported only when a command solves.
+in the report and emits it, only once the command has succeeded.
+Importing this module loads the standard library and ``trial`` alone:
+``bound`` and every usage error need nothing else.  A command loads what it
+integrates with when it runs: ``variational`` and numpy for ``rayleigh``,
+``verify``, ``optimize`` and ``sweep``, numpy for ``fit``, and the FD solver
+with SciPy for ``solve`` and ``sweep --with-solver``.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .trial import (
     ConvergenceError,
     DomainError,
@@ -28,7 +30,6 @@ from .trial import (
     bound_constants,
     lambda_upper,
 )
-from .variational import optimize_bound, rayleigh, verify_thm1
 
 SCHEMA_VERSION = 1
 
@@ -121,6 +122,8 @@ def cmd_rayleigh(args) -> tuple[dict, dict]:
     cfg = _cfg(args)
     n_opt = bound_constants(cfg).n_opt  # also refuses theta = pi/2, even with --n
     params = TrialParams(rho=_rho(cfg, args), n=args.n if args.n is not None else n_opt)
+    from .variational import rayleigh
+
     rep = rayleigh(cfg, params)
     return {"theta": cfg.theta, "alpha": cfg.alpha, "rho": params.rho, "n": params.n}, {
         "r_value": rep.r_value,
@@ -133,6 +136,8 @@ def cmd_rayleigh(args) -> tuple[dict, dict]:
 def cmd_verify(args) -> tuple[dict, dict]:
     cfg = _cfg(args)
     rho = _rho(cfg, args)
+    from .variational import verify_thm1
+
     n_found, rep = verify_thm1(cfg, rho)
     return {"theta": cfg.theta, "alpha": cfg.alpha, "rho": rho}, {
         "n_found": n_found,
@@ -150,6 +155,8 @@ def _bound_thm2(alpha: float, capital_lambda: float) -> float:
 
 def cmd_optimize(args) -> tuple[dict, dict]:
     cfg = _cfg(args)
+    from .variational import optimize_bound
+
     params, rep = optimize_bound(cfg)
     return {"theta": cfg.theta, "alpha": cfg.alpha}, {
         "rho": params.rho,
@@ -190,6 +197,8 @@ def _sweep_row(theta: float, args) -> dict:
         lam = lambda_upper(theta)
         row["capital_lambda"] = lam
         row["bound_thm2"] = _bound_thm2(args.alpha, lam)
+        from .variational import optimize_bound
+
         _, rep = optimize_bound(cfg)
         row["bound_optimized"] = rep.quotient
         status = "ok"
@@ -277,6 +286,8 @@ def cmd_fit(args) -> tuple[dict, dict]:
         raise DomainError("need at least 3 usable rows with solver values")
     if max(xs) - min(xs) < 1e-12:
         raise DomainError("degenerate table: theta values coincide")
+    import numpy as np
+
     coeffs, residuals, *_ = np.polyfit(xs, ys, 1, full=True)
     rss = float(residuals[0]) if len(residuals) else 0.0
     return {"side": args.side, "table": args.table, "rows_used": len(xs)}, {

@@ -2,13 +2,14 @@
 
 The geometry is a wedge: two rays from the origin at half-angle ``theta``
 carrying an attractive delta-interaction of strength ``alpha``.  Everything
-in this module is an explicit formula.  The trial family is
-exp(-alpha*|x1|/2) * F(x2*tan(theta))**rho * chi(x2/n), and
-``log_profile_F`` is the package's one implementation of its profile F.
-The integrals of the trial family live in :mod:`wedgebound.variational`:
-its Rayleigh quotients compute the optimized bound by quadrature, and its
-``quad_J`` checks the closed form J.  The package's two error types,
-``DomainError`` and ``ConvergenceError``, are defined here too.
+in this module is an explicit formula, on the standard library alone, so
+the command line loads no numpy for the closed-form commands.  The trial
+family is exp(-alpha*|x1|/2) * F(x2*tan(theta))**rho * chi(x2/n).  Its
+profile F (``log_profile_F``) and its integrals live in
+:mod:`wedgebound.variational`: the Rayleigh quotients compute the optimized
+bound by quadrature, and ``quad_J`` checks the closed form J.  The
+package's two error types, ``DomainError`` and ``ConvergenceError``, are
+defined here too.
 """
 
 from __future__ import annotations
@@ -16,15 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "ConvergenceError",
     "DomainError",
     "WedgeConfig",
     "TrialParams",
     "BoundReport",
-    "log_profile_F",
     "closed_R",
     "closed_J",
     "lambda_upper",
@@ -122,18 +120,6 @@ def _pow(base: float, exponent: float) -> float:
         return base**exponent
     except OverflowError:
         raise DomainError(f"{base}**{exponent} overflows a float") from None
-
-
-def log_profile_F(t: np.ndarray, alpha: float) -> np.ndarray:
-    """Natural log of the profile F(t), the integral of exp(-alpha*|s|)
-    over s < t, elementwise on an array.
-
-    F(0) = 1/alpha, and F increases from 0 to 2/alpha.  The log is finite
-    for every finite ``t``, so powers of F formed as exp(p*log F)
-    cannot underflow to 0 and turn 0**(negative) into inf or NaN.
-    """
-    at = np.abs(t)
-    return np.where(t < 0.0, -alpha * at, np.log(2.0 - np.exp(-alpha * at))) - math.log(alpha)
 
 
 def closed_R(cfg: WedgeConfig, rho: float) -> float:

@@ -26,10 +26,11 @@ import numpy as np
 
 from .quadrature import QuadratureEstimate, integrate
 from .trial import ConvergenceError, DomainError, TrialParams, WedgeConfig, bound_constants
-from .trial import _check_rho, _pow, log_profile_F
+from .trial import _check_rho, _pow
 
 __all__ = [
     "RayleighReport",
+    "log_profile_F",
     "rayleigh",
     "quad_J",
     "verify_thm1",
@@ -60,6 +61,18 @@ class RayleighReport:
     quotient: float
     margin: float
     r_tolerance: float
+
+
+def log_profile_F(t: np.ndarray, alpha: float) -> np.ndarray:
+    """Natural log of the profile F(t), the integral of exp(-alpha*|s|)
+    over s < t, elementwise on an array.
+
+    F(0) = 1/alpha, and F increases from 0 to 2/alpha.  The log is finite
+    for every finite ``t``, so powers of F formed as exp(p*log F)
+    cannot underflow to 0 and turn 0**(negative) into inf or NaN.
+    """
+    at = np.abs(t)
+    return np.where(t < 0.0, -alpha * at, np.log(2.0 - np.exp(-alpha * at))) - math.log(alpha)
 
 
 def _trial_profile(cfg: WedgeConfig, params: TrialParams, x: np.ndarray):

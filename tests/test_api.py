@@ -118,31 +118,54 @@ print(json.dumps([first, then]))
 
 
 def test_closed_form_commands_load_no_solver(tmp_path):
-    # bound and the Rayleigh quotients need no eigensolver, so a command
-    # that does not solve must not pay for importing SciPy; fit refuses the
-    # solver-less sweep's table, which has no lambda_fd to fit
+    # the CLI starts on the standard library and trial alone: bound, a
+    # usage error and a refused fit load no numpy; a command that integrates
+    # loads numpy with variational, and one that does not solve never pays
+    # for SciPy.  fit refuses the solver-less sweep's table, which has no
+    # lambda_fd to fit
     script = """
 import json, sys
 from wedgebound import cli
+
+def loaded():
+    tops = {m.partition(".")[0] for m in sys.modules}
+    return sorted({m for m in sys.modules if m.startswith("wedgebound.")}
+                  | tops & {"numpy", "scipy"})
+
 table = sys.argv[1]
-runs = [
-    ["bound", "--theta", "0.7"],
-    ["rayleigh", "--theta", "0.7"],
-    ["verify", "--theta", "0.7"],
-    ["optimize", "--theta", "0.7"],
-    ["sweep", "--theta-min", "0.5", "--theta-max", "0.9", "--theta-steps", "2", "--out", table],
-    ["fit", table, "--side", "zero"],
+stages = [
+    ("start", []),
+    ("closed_form", [
+        ["bound", "--theta", "0.7"],
+        ["bound"],
+        ["fit", table, "--side", "zero"],
+    ]),
+    ("rayleigh", [["rayleigh", "--theta", "0.7"]]),
+    ("integrate", [
+        ["verify", "--theta", "0.7"],
+        ["optimize", "--theta", "0.7"],
+        ["sweep", "--theta-min", "0.5", "--theta-max", "0.9", "--theta-steps", "2",
+         "--out", table],
+        ["fit", table, "--side", "zero"],
+    ]),
 ]
-codes = [cli.main(argv) for argv in runs]
-loaded = sorted(m for m in sys.modules
-                if m == "scipy" or m.startswith("scipy.") or m == "wedgebound.spectral")
-print(json.dumps({"codes": codes, "loaded": loaded}))
+seen = {name: {"codes": [cli.main(argv) for argv in runs], "loaded": loaded()}
+        for name, runs in stages}
+print(json.dumps(seen))
 """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sweep.csv")], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"codes": [0, 0, 0, 0, 0, 1], "loaded": []}
+    cli_only = ["wedgebound.cli", "wedgebound.trial"]
+    integrating = ["numpy", "wedgebound.cli", "wedgebound.quadrature", "wedgebound.trial",
+                   "wedgebound.variational"]
+    assert seen == {
+        "start": {"codes": [], "loaded": cli_only},
+        "closed_form": {"codes": [0, 1, 1], "loaded": cli_only},
+        "rayleigh": {"codes": [0], "loaded": integrating},
+        "integrate": {"codes": [0, 0, 0, 1], "loaded": integrating},
+    }
 
 
 def test_spectral_names_resolve_on_access():

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from wedgebound import ConvergenceError, cli
+from wedgebound import ConvergenceError, cli, variational
 from wedgebound.cli import SWEEP_COLUMNS, main
 
 PI_4 = math.pi / 4
@@ -127,7 +127,7 @@ class TestOptimize:
         def bug(cfg):
             raise RuntimeError("bug")
 
-        monkeypatch.setattr(cli, "optimize_bound", bug)
+        monkeypatch.setattr(variational, "optimize_bound", bug)
         with pytest.raises(RuntimeError, match="bug"):
             main(["optimize", "--theta", "0.7"])
 
@@ -135,7 +135,7 @@ class TestOptimize:
         def fail(cfg):
             raise ConvergenceError("quadrature did not converge")
 
-        monkeypatch.setattr(cli, "optimize_bound", fail)
+        monkeypatch.setattr(variational, "optimize_bound", fail)
         code, _, err = run(capsys, "optimize", "--theta", "0.7")
         assert code == 2
         assert "numerical failure" in err
@@ -304,7 +304,7 @@ class TestSweep:
         def bug(cfg):
             raise TypeError("bug")
 
-        monkeypatch.setattr(cli, "optimize_bound", bug)
+        monkeypatch.setattr(variational, "optimize_bound", bug)
         with pytest.raises(TypeError):
             main(["sweep", "--theta-min", "0.5", "--theta-max", "0.9", "--theta-steps", "2"])
 

@@ -15,8 +15,7 @@ from wedgebound import (
     lambda_upper,
 )
 from wedgebound.quadrature import integrate
-from wedgebound.trial import log_profile_F
-from wedgebound.variational import _trial_profile
+from wedgebound.variational import _trial_profile, log_profile_F
 
 PI_4 = math.pi / 4
 
