@@ -26,6 +26,7 @@ from .trial import (
     DomainError,
     TrialParams,
     WedgeConfig,
+    _bound_thm2,
     _pow,
     bound_constants,
     lambda_upper,
@@ -146,11 +147,6 @@ def cmd_verify(args) -> tuple[dict, dict]:
         "margin": rep.margin,
         "negative_energy": rep.r_value < 0.0,
     }
-
-
-def _bound_thm2(alpha: float, capital_lambda: float) -> float:
-    """Theorem 2's bound -alpha^2 (1/4 + Lambda(theta))."""
-    return -_pow(alpha, 2) * (0.25 + capital_lambda)
 
 
 def cmd_optimize(args) -> tuple[dict, dict]:

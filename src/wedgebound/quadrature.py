@@ -1,11 +1,11 @@
 """Adaptive 1D quadrature on finite intervals.
 
-A vectorized adaptive panel Gauss-Legendre rule.  Breakpoints split the
-interval into panels, so callers list interior kink abscissae as
-breakpoints and a kink never sits inside a panel.  Each panel's error
-estimate is the difference between the 10-point rule on the whole panel and
-on its two halves; a panel whose estimate exceeds its share of the
-tolerance is bisected.  Integrands take an array of abscissae and are
+A vectorized adaptive panel Gauss-Legendre rule.  Callers pass the edges
+of the starting panels in increasing order: the interval's ends and, in
+between, the integrand's kinks, so a kink never sits inside a panel.  Each
+panel's error estimate is the difference between the 10-point rule on the
+whole panel and on its two halves; a panel whose estimate exceeds its share
+of the tolerance is bisected.  Integrands take an array of abscissae and are
 called once per refinement round with the nodes of every active panel.  An
 integrand may return a stack of components; they share one refinement tree,
 so integrals of the same profile cost one evaluation of it.
@@ -14,7 +14,7 @@ so integrals of the same profile cost one evaluation of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -60,19 +60,16 @@ class QuadratureEstimate:
         return self.value
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    breakpoints: Iterable[float] = (),
-) -> QuadratureEstimate:
-    """Integrate ``f`` over the finite interval (lo, hi).
+def integrate(f: Callable[[np.ndarray], np.ndarray], *edges: float) -> QuadratureEstimate:
+    """Integrate ``f`` over the panels between consecutive ``edges``.
 
-    ``f`` maps an array ``x`` of abscissae to the array of integrand values,
-    or to a stack of k components of shape ``(k,) + x.shape``.  Breakpoints
-    strictly inside the interval split it into panels that are refined
-    independently, so kinks never sit inside a panel.  All components share
-    one refinement tree: a panel is bisected while any component's error
+    ``edges`` are two or more strictly increasing abscissae, each gap finite:
+    ``integrate(f, lo, hi)`` integrates over one interval, and interior
+    edges split it into panels that are refined independently, so a kink
+    placed on an edge never sits inside a panel.  ``f`` maps an array ``x``
+    of abscissae to the array of integrand values, or to a stack of k
+    components of shape ``(k,) + x.shape``.  All components share one
+    refinement tree: a panel is bisected while any component's error
     estimate on it exceeds its share of ``ABS_TOL + REL_TOL * (integral of
     |f_k|)``.  ``value``, ``abs_error_estimate`` and ``tolerance``, that
     expression over the whole interval, are floats for a scalar integrand
@@ -86,10 +83,10 @@ def integrate(
     such as 1/sqrt(x) on (0, 1), whose panel error falls only as the square
     root of its width, exhausts the budget and reports ``converged=False``.
     """
-    if not -np.inf < lo < hi < np.inf:
-        raise DomainError(f"need finite lo < hi, got lo={lo}, hi={hi}")
-
-    edges = np.array([lo, *sorted(p for p in breakpoints if lo < p < hi), hi])
+    # a finite gap needs finite edges, but finite edges 1e308 apart overflow
+    if not (len(edges) >= 2 and all(0.0 < b - a < np.inf for a, b in zip(edges, edges[1:]))):
+        raise DomainError(f"need 2+ strictly increasing edges, gaps finite: {list(edges)}")
+    edges = np.array(edges, dtype=float)
     start, width = edges[:-1], np.diff(edges)
     share = np.full(start.size, 1.0 / start.size)
     nodes, weights = _NODES, _WEIGHTS

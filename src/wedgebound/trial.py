@@ -169,6 +169,11 @@ def lambda_upper(theta: float) -> float:
     return 3.0 * c**3 * w**2 / (2.0 * (1.0 + 2.0 * c) ** 3 * _big_b(c))
 
 
+def _bound_thm2(alpha: float, capital_lambda: float) -> float:
+    """Theorem 2's bound -alpha^2 (1/4 + Lambda(theta))."""
+    return -_pow(alpha, 2) * (0.25 + capital_lambda)
+
+
 def bound_constants(cfg: WedgeConfig) -> BoundReport:
     """Assemble every intermediate of the closed-form bound at rho = cos^2 theta.
 
@@ -199,5 +204,5 @@ def bound_constants(cfg: WedgeConfig) -> BoundReport:
         big_b=big_b,
         n_opt=n_opt,
         capital_lambda=capital_lambda,
-        lambda_upper_bound=-cfg.alpha**2 * (0.25 + capital_lambda),
+        lambda_upper_bound=_bound_thm2(cfg.alpha, capital_lambda),
     )

@@ -94,12 +94,13 @@ def _trial_profile(cfg: WedgeConfig, params: TrialParams, x: np.ndarray):
     return g * chi, g_slope * chi + g * chi_slope / n, np.exp(log_f), np.exp(log_decay)
 
 
-def _cut_breakpoints(cfg: WedgeConfig, n: float) -> tuple[float, ...]:
-    """Panels of every integral on (-2n, 2n): kinks plus doublings of the decay length.
+def _panel_edges(cfg: WedgeConfig, n: float) -> tuple[float, ...]:
+    """Edges of the panels of every integral on the trial support (-2n, 2n):
+    its ends, the kinks 0 and +-n, and doublings of the decay length.
 
     For cutoff scales n far beyond the natural length 1/(alpha*tan(theta))
     the derivative terms concentrate in a vanishing fraction of the (0, n)
-    panel; without interior breakpoints the adaptive rule can sample right
+    panel; without the interior edges the adaptive rule can sample right
     past the core and silently report (nearly) zero.
     """
     scale = 1.0 / (cfg.alpha * cfg.tan_theta)
@@ -108,7 +109,8 @@ def _cut_breakpoints(cfg: WedgeConfig, n: float) -> tuple[float, ...]:
     while k < 64.0 * scale:
         pts.update((-k, k))
         k *= 2.0
-    return tuple(sorted(p for p in pts if -2.0 * n < p < 2.0 * n))
+    lo, hi = -2.0 * n, 2.0 * n
+    return (lo, *sorted(p for p in pts if lo < p < hi), hi)
 
 
 def _overflow(kind: str, flag: int) -> None:
@@ -134,12 +136,7 @@ def rayleigh(cfg: WedgeConfig, params: TrialParams) -> RayleighReport:
         h, hp, f, fp = _trial_profile(cfg, params, x)
         return np.stack([hp * (hp * f - h * fp * cot_t), h * h * f])
 
-    est = integrate(
-        integrand,
-        -2.0 * params.n,
-        2.0 * params.n,
-        breakpoints=_cut_breakpoints(cfg, params.n),
-    )
+    est = integrate(integrand, *_panel_edges(cfg, params.n))
     r, ns = est.require().tolist()
     if not ns >= sys.float_info.min:  # a subnormal norm has lost digits
         raise DomainError(f"the squared norm {ns} underflows a normal float")
@@ -177,7 +174,7 @@ def quad_J(cfg: WedgeConfig, rho: float) -> QuadratureEstimate:
         return np.exp(power * log_profile_F(t, alpha) - 2.0 * alpha * np.abs(t))
 
     n = 32.0 / (alpha * tan_t)
-    return integrate(integrand, -2.0 * n, 2.0 * n, breakpoints=_cut_breakpoints(cfg, n))
+    return integrate(integrand, *_panel_edges(cfg, n))
 
 
 def verify_thm1(cfg: WedgeConfig, rho: float) -> tuple[float, RayleighReport]:
@@ -189,7 +186,7 @@ def verify_thm1(cfg: WedgeConfig, rho: float) -> tuple[float, RayleighReport]:
     or theta near pi/2 closed_R is so close to 0 that n would have to pass
     ``MAX_DOUBLINGS`` doublings; the search then raises ConvergenceError.
     """
-    _check_rho(cfg, rho)
+    _check_rho(cfg, rho)  # before TrialParams, whose message names the derived n
     n = 1.0 / (cfg.alpha * cfg.tan_theta)
     for _ in range(MAX_DOUBLINGS + 1):
         report = rayleigh(cfg, TrialParams(rho=rho, n=n))

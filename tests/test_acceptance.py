@@ -60,6 +60,19 @@ def test_criterion_1_closed_form_consistency():
     check(1, worst <= 1e-12, f"lambda_upper vs bound_constants, max rel diff {worst:.2e}")
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="rel diff 4.4e-12: bound_constants' a = -closed_R forms cos^2 - cot^2,"
+    " which cancels as theta -> pi/2",
+)
+def test_criterion_1_bound_next_to_pi_half():
+    # a point of criterion 1's range that its seeded samples (worst 5.9e-13) miss
+    theta = 1.558857831386403
+    rep = bound_constants(WedgeConfig(theta, 0.5))
+    lam = lambda_upper(theta)
+    assert abs(rep.capital_lambda - lam) / lam <= 1e-12
+
+
 def test_criterion_2_small_angle_limit():
     value = lambda_upper(1e-6)
     rel = abs(value - 1.0 / 392.0) * 392.0

@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every optional parameter of a public function; a new one is a new knob
 # that each caller, test and benchmark must cover
-OPTIONAL_PARAMETERS = {("integrate", "breakpoints"), ("solve", "L"), ("solve", "h")}
+OPTIONAL_PARAMETERS = {("solve", "L"), ("solve", "h")}
 
 # every (subcommand, option) pair of the command line, for the same reason
 _COMMON = "--theta --alpha --degrees --format --out"

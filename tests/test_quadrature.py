@@ -5,7 +5,7 @@ import pytest
 
 from wedgebound import DomainError, WedgeConfig, closed_J, closed_R, integrate, quad_J
 from wedgebound import quadrature, variational
-from wedgebound.variational import _cut_breakpoints
+from wedgebound.variational import _panel_edges
 
 # e^-40 = 4.2e-18: cutting an e^-|x| tail at 40 drops less than rounding
 CUT = 40.0
@@ -18,7 +18,7 @@ def _antiderivative_piece(rho: float) -> float:
 
 class TestIntegrate:
     def test_two_sided_exponential(self):
-        est = integrate(lambda x: np.exp(-np.abs(x)), -CUT, CUT, breakpoints=(0.0,))
+        est = integrate(lambda x: np.exp(-np.abs(x)), -CUT, 0.0, CUT)
         assert est.converged
         assert est.value == pytest.approx(-2.0 * math.expm1(-CUT), abs=1e-12)
         assert est.abs_error_estimate >= 0.0
@@ -52,7 +52,7 @@ class TestIntegrate:
 
     def test_splitting(self):
         f = lambda x: np.exp(-np.abs(x)) * (1.0 + np.sin(x) ** 2)
-        whole = integrate(f, -CUT, CUT, breakpoints=(0.0,))
+        whole = integrate(f, -CUT, 0.0, CUT)
         left = integrate(f, -CUT, 0.0)
         right = integrate(f, 0.0, CUT)
         assert whole.value == pytest.approx(
@@ -60,13 +60,32 @@ class TestIntegrate:
             abs=whole.abs_error_estimate + left.abs_error_estimate + right.abs_error_estimate + 1e-14,
         )
 
-    def test_invalid_interval(self):
-        with pytest.raises(DomainError):
-            integrate(lambda x: x, 1.0, 0.0)
-        # finite panels only: a caller cuts a decaying integrand's tails itself
-        for lo, hi in ((-math.inf, 0.0), (0.0, math.inf), (-math.inf, math.inf)):
-            with pytest.raises(DomainError):
-                integrate(lambda x: np.exp(-np.abs(x)), lo, hi)
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            (1.0, 0.0),
+            (0.0, 2.0, 1.0),
+            (0.0, 0.0),
+            (0.0, 1.0, 1.0, 2.0),
+            # finite panels only: a caller cuts a decaying integrand's tails itself
+            (-math.inf, 0.0),
+            (0.0, math.inf),
+            (-math.inf, math.inf),
+            (-1e308, 1e308),
+            (0.0, math.nan),
+            (math.nan, 0.0, 1.0),
+            (0.0,),
+            (),
+        ],
+        ids=["reversed", "unsorted", "empty_panel", "repeated", "lo_inf", "hi_inf",
+             "both_inf", "gap_overflows", "hi_nan", "lo_nan", "one_edge", "no_edge"],
+    )
+    def test_refuses_bad_edges_before_calling_f(self, edges):
+        def f(x):
+            raise AssertionError("f called")
+
+        with pytest.raises(DomainError, match="strictly increasing edges"):
+            integrate(f, *edges)
 
     def test_budget_exhaustion_reports_best_estimate(self, monkeypatch):
         monkeypatch.setattr(quadrature, "BUDGET", 400)
@@ -161,14 +180,15 @@ class TestQuadJ:
         cfg = WedgeConfig(theta=0.7, alpha=1.5)
         calls = []
 
-        def integrate_spy(f, lo, hi, breakpoints=()):
-            calls.append((lo, hi, breakpoints))
-            return integrate(f, lo, hi, breakpoints=breakpoints)
+        def integrate_spy(f, *edges):
+            calls.append(edges)
+            return integrate(f, *edges)
 
         monkeypatch.setattr(variational, "integrate", integrate_spy)
         quad_J(cfg, 0.5)
         n = 32.0 / (cfg.alpha * cfg.tan_theta)
-        assert calls == [(-2.0 * n, 2.0 * n, _cut_breakpoints(cfg, n))]
+        assert calls == [_panel_edges(cfg, n)]
+        assert calls[0][0] == -2.0 * n and calls[0][-1] == 2.0 * n
 
     def test_relates_to_closed_energy(self):
         rng = np.random.default_rng(11)

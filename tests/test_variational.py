@@ -19,7 +19,7 @@ from wedgebound import (
 )
 from wedgebound import variational
 from wedgebound.quadrature import QuadratureEstimate
-from wedgebound.variational import N_MAX_SCALE, _brent, _cut_breakpoints
+from wedgebound.variational import N_MAX_SCALE, _brent, _panel_edges
 
 PI_4 = math.pi / 4
 # optimize_bound's quotients at alpha = 1 as first recorded in
@@ -106,7 +106,7 @@ class TestRayleigh:
     def test_spectral_floor(self, cfg, monkeypatch, r, below):
         # no Rayleigh quotient of the operator lies below -alpha^2, so a
         # quadrature that reports one has failed
-        def integrate(f, lo, hi, breakpoints=()):
+        def integrate(f, *edges):
             return QuadratureEstimate(np.array([r, 1.0]), np.zeros(2), np.full(2, 1e-13), 1, True)
 
         monkeypatch.setattr(variational, "integrate", integrate)
@@ -173,7 +173,7 @@ def _oracle_quotient(cfg, rho, n):
         hp = h_slope(x)
         return hp * (hp * _profile_F(t, alpha) - h(x) * _profile_F_slope(t, alpha) / tan_t)
 
-    edges = [-2.0 * n, *_cut_breakpoints(cfg, n), 2.0 * n]
+    edges = _panel_edges(cfg, n)
 
     def oracle(f):
         return sum(
@@ -240,6 +240,17 @@ class TestVerifyThm1:
     def test_rejects_rho_at_boundary(self, cfg):
         with pytest.raises(DomainError):
             verify_thm1(cfg, cfg.cot_sq_theta)
+
+    @pytest.mark.parametrize(
+        "theta, rho, message",
+        [(PI_4, 0.0, "rho must lie in"), (PI_4, math.nan, "rho must lie in"),
+         (1e-320, 1.0, r"cot\(theta\) overflows")],
+    )
+    def test_refuses_rho_before_the_search(self, theta, rho, message):
+        # the search's first TrialParams would refuse these too, but naming
+        # a cutoff scale n that the caller never gave
+        with pytest.raises(DomainError, match=message):
+            verify_thm1(WedgeConfig(theta, 1.0), rho)
 
 
 def counted(f):
