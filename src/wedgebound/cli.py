@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -54,21 +55,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return "" if x is None else str(x)
-
-
 def _emit(report: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = json.dumps(report, indent=2) + "\n"
     else:
         # a sweep's CSV is its table of rows; any other report is one row
         rows = report["results"].get("rows") or [{**report["inputs"], **report["results"]}]
-        keys = list(rows[0])
-        lines = [",".join(keys)] + [",".join(_fmt(row[k]) for k in keys) for row in rows]
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buf.getvalue()
     if out:
         try:
             with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -207,9 +204,7 @@ def _sweep_row(theta: float, args) -> dict:
                 status = "inconclusive"
         row["status"] = status
     except (DomainError, ConvergenceError) as exc:
-        # keep the status cell CSV-safe: no commas or newlines
-        detail = str(exc).replace(",", ";").replace("\n", " ")
-        row["status"] = f"error: {detail}"
+        row["status"] = f"error: {exc}"
     return row
 
 

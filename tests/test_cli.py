@@ -1,11 +1,19 @@
 import csv
+import io
 import json
 import math
 from types import SimpleNamespace
 
 import pytest
 
-from wedgebound import ConvergenceError, cli, variational
+from wedgebound import (
+    ConvergenceError,
+    DomainError,
+    WedgeConfig,
+    bound_constants,
+    cli,
+    variational,
+)
 from wedgebound.cli import SWEEP_COLUMNS, main
 
 PI_4 = math.pi / 4
@@ -275,18 +283,23 @@ class TestSweep:
 
     def test_row_error_does_not_abort(self, capsys):
         # theta grid ends where the optimizer is degenerate: at pi/2, and
-        # 1e-9 below it, where sin^2 theta rounds to 1
+        # 1e-9 below it, where sin^2 theta rounds to 1; the row's status is
+        # the message raised there, commas included, in JSON and in CSV
         for theta_max in (repr(math.pi / 2), "1.5707963257948966"):
-            code, out, _ = run(
-                capsys,
-                "sweep", "--theta-min", "0.7",
-                "--theta-max", theta_max, "--theta-steps", "2",
-            )
+            argv = ["sweep", "--theta-min", "0.7", "--theta-max", theta_max,
+                    "--theta-steps", "2"]
+            code, out, _ = run(capsys, *argv, "--format", "json")
             assert code == 0
-            rows = list(csv.DictReader(out.splitlines()))
-            assert rows[0]["status"] == "ok"
-            assert rows[1]["status"].startswith("error:")
-            assert "," not in rows[1]["status"]
+            rows = json.loads(out)["results"]["rows"]
+            with pytest.raises(DomainError) as raised:
+                bound_constants(WedgeConfig(rows[1]["theta"], 1.0))
+            assert "," in str(raised.value)
+            assert [r["status"] for r in rows] == ["ok", f"error: {raised.value}"]
+            code, out, _ = run(capsys, *argv, "--format", "csv")
+            assert code == 0
+            assert [r["status"] for r in csv.DictReader(io.StringIO(out))] == [
+                r["status"] for r in rows
+            ]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_out_file_matches_stdout(self, capsys, tmp_path, fmt):
@@ -526,6 +539,16 @@ class TestFit:
         code, _, _ = run(capsys, "fit", str(path), "--side", "pi_half")
         assert code == 1
 
+    def test_comma_in_table_path_stays_one_field(self, capsys, tmp_path):
+        path = tmp_path / "sweep, alpha 1.csv"
+        synthetic_sweep_csv(path, [1.1, 1.2, 1.3], lambda t: 0.01 * (math.pi / 2.0 - t) ** 4)
+        code, out, _ = run(capsys, "fit", str(path), "--side", "pi_half", "--format", "csv")
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert len(header) == len(row) == 7
+        (parsed,) = csv.DictReader(io.StringIO(out))
+        assert parsed["table"] == str(path)
+
 
 # argv after the subcommand (fit also gets a sweep table first), then the
 # pinned inputs and results keys of its report
@@ -631,6 +654,9 @@ class TestReportContract:
             rows = [{**report["inputs"], **report["results"]}]
         lines = [",".join(rows[0])] + [",".join(csv_cell(v) for v in r.values()) for r in rows]
         assert out == "\n".join(lines) + "\n"
+        assert list(csv.DictReader(io.StringIO(out))) == [
+            {k: csv_cell(v) for k, v in r.items()} for r in rows
+        ]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_out_file_matches_stdout(self, capsys, tmp_path, command, fmt):

@@ -270,6 +270,16 @@ class TestLowestEigenvalue:
         assert near.eigenvalue == pytest.approx(fixed.eigenvalue, rel=1e-9, abs=0.0)
         assert near.solves < fixed.solves
 
+    @pytest.mark.parametrize(
+        "solved, shift",
+        [
+            ([-1.0, -0.875], -1.125),  # 2|delta lambda| = 0.25 binds
+            ([-1.0, -0.9375], -1.171875),  # |lambda|/4 = 0.234375 binds
+        ],
+    )
+    def test_next_shift_takes_the_larger_step(self, solved, shift):
+        assert _next_shift(solved) == shift
+
 
 class TestCertify:
     def test_refuses_indefinite_matrix(self):

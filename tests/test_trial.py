@@ -15,6 +15,7 @@ from wedgebound import (
     lambda_upper,
 )
 from wedgebound.quadrature import integrate
+from wedgebound.trial import _bound_thm2
 from wedgebound.variational import _trial_profile, log_profile_F
 
 PI_4 = math.pi / 4
@@ -258,3 +259,15 @@ class TestBoundConstants:
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError):
             bound_constants(WedgeConfig(theta=math.pi / 2, alpha=1.0))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="bound gives -0.06308356132125761 from a^2/(4bc alpha^2),"
+        " optimize and sweep -0.0630835613212576 from lambda_upper",
+    )
+    def test_bound_matches_thm2_from_lambda_upper(self):
+        # the CLI's bound reports lambda_upper_bound, its optimize and sweep
+        # _bound_thm2(alpha, lambda_upper(theta)); both are Theorem 2's bound
+        theta, alpha = 0.13987057197901923, 0.5
+        rep = bound_constants(WedgeConfig(theta, alpha))
+        assert rep.lambda_upper_bound == _bound_thm2(alpha, lambda_upper(theta))
