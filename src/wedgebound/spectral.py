@@ -24,11 +24,13 @@ Jacobi smoothing, bilinear transfer between the levels' even subspaces, an
 exact solve with a factor of the coarse grid), which on the coarse grid
 alone is that factor's solve, so no finer grid is factorized.  With it,
 shift-invert Lanczos solves the coarse grid and its re-solves in an
-enlarged box, and LOBPCG the two refined grids from the last level's
-eigenvector.  LOBPCG cannot take the coarse grid too: from a flat start it
-reaches its 200-iteration cap at alpha = 8, theta = 1.3 and 1.55 (L = 12,
-n = 64), where Lanczos converges, since only a Krylov space resolves the
-small gap between the ground state and the discretized line states.
+enlarged box, and the package's own LOBPCG on a block of one vector
+(``_multigrid_eigenpair``) the two refined grids from the last level's
+eigenvector.  LOBPCG cannot take the coarse grid too: from a flat start
+it reaches its 200-iteration cap at alpha = 8, theta = 1.3 and 1.55
+(L = 12, n = 64), where Lanczos converges, since only a Krylov space
+resolves the small gap between the ground state and the discretized line
+states.
 The first level is solved at the shift -2*alpha^2; every later level takes
 its shift from the eigenvalues already solved, just below the expected one:
 that cuts a coarse re-solve's Lanczos solves two- to threefold and places a
@@ -46,12 +48,12 @@ Z-matrix is its only eigenvector without a sign change.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, lobpcg, splu
+from scipy.linalg import LinAlgError, eigh
+from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, splu
 
 from .trial import ConvergenceError, DomainError, WedgeConfig, _pow
 
@@ -362,16 +364,28 @@ class _VCycle(LinearOperator):
         for A, w, prolong in reversed(self.levels):
             x = w * b
             for _ in range(JACOBI_SWEEPS - 1):
-                x += w * (b - A @ x)
+                _jacobi(A, w, b, x)
             below.append((x, b))
-            b = 0.25 * (prolong.T @ (b - A @ x))
+            t = A @ x
+            np.subtract(b, t, out=t)
+            b = prolong.T @ t
+            b *= 0.25
         x = self.coarse.solve(b)
         for A, w, prolong in self.levels:
             fine, b = below.pop()
-            x = fine + prolong @ x
+            x = prolong @ x
+            x += fine
             for _ in range(JACOBI_SWEEPS):
-                x += w * (b - A @ x)
+                _jacobi(A, w, b, x)
         return x
+
+
+def _jacobi(A: sp.csr_matrix, w: np.ndarray, b: np.ndarray, x: np.ndarray) -> None:
+    """One weighted Jacobi sweep x += w * (b - A x), in place."""
+    t = A @ x
+    np.subtract(b, t, out=t)
+    t *= w
+    x += t
 
 
 def _certified_inverse(reduced: list, prolongs: list, shift: float) -> tuple[float, _VCycle]:
@@ -410,43 +424,82 @@ def _multigrid_eigenpair(
     """Smallest eigenpair of R = reduced[-1] by LOBPCG from ``start``,
     preconditioned by the ``_certified_inverse`` on R - sigma*I.
 
-    ``_certified_inverse`` lowers sigma from ``shift`` until the certificate
-    passes; LOBPCG then runs once at that sigma and is not retried.  The
-    certificate makes R - sigma*I positive definite, as the V-cycle needs;
-    unlike shift-invert Lanczos, LOBPCG is not bound by sigma to the lowest
-    eigenvalue.  That rests on the warm start, and is checked by sign: R is
-    an irreducible Z-matrix, so its ground state is its only eigenvector
-    without a sign change, and an eigenvector whose negative entries hold
-    more than ``NEGATIVE_MASS_LIMIT`` of its squared norm raises
-    ConvergenceError.  So does LOBPCG reaching ``LOBPCG_MAXITER``
+    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on a block of one
+    vector: each iteration applies one V-cycle to the residual r = R x -
+    lambda x, with lambda = x.R x and |x| = 1, and takes the next x from
+    ``_rayleigh_ritz`` on x, that direction w and the last step p.  It stops
+    when |r| falls to a tenth of ``RESIDUAL_LIMIT`` at the start's Rayleigh
+    quotient.  ``_certified_inverse`` lowers sigma from ``shift`` until the
+    certificate passes; LOBPCG then runs once at that sigma and is not
+    retried.  The certificate makes R - sigma*I positive definite, as the
+    V-cycle needs; unlike shift-invert Lanczos, LOBPCG is not bound by sigma
+    to the lowest eigenvalue.  That rests on the warm start, and is checked
+    by sign: R is an irreducible Z-matrix, so its ground state is its only
+    eigenvector without a sign change, and an eigenvector whose negative
+    entries hold more than ``NEGATIVE_MASS_LIMIT`` of its squared norm
+    raises ConvergenceError.  So does LOBPCG reaching ``LOBPCG_MAXITER``
     iterations, and a residual above ``RESIDUAL_LIMIT`` * |eigenvalue|.
     The result's solves counts the V-cycles at the certified shift.
     """
     R = reduced[-1]
-    # stop at a hundredth of the residual limit at the start's Rayleigh
-    # quotient rho: rho >= lambda_0, so for a bound state (lambda_0 <= rho < 0)
-    # that lies inside the limit at any scale of R
-    rho = start @ (R @ start) / (start @ start)
-    tol = 0.01 * RESIDUAL_LIMIT * abs(rho)
+    x = start / np.linalg.norm(start)
+    Rx = R @ x
+    # stop at a tenth of the residual limit at the start's Rayleigh quotient
+    # rho: rho >= lambda_0, so for a bound state (lambda_0 <= rho < 0) that
+    # lies inside the limit at any scale of R
+    tol = 0.1 * RESIDUAL_LIMIT * abs(x @ Rx)
 
     sigma, inverse = _certified_inverse(reduced, prolongs, shift)
-    with warnings.catch_warnings():
-        # SciPy only warns when LOBPCG stops short of its tolerance
-        warnings.simplefilter("error", UserWarning)
-        try:
-            vals, vecs = lobpcg(
-                R, start[:, None], M=inverse, tol=tol, maxiter=LOBPCG_MAXITER,
-                largest=False,
-            )
-        except UserWarning as exc:
-            raise ConvergenceError(f"LOBPCG did not converge: {exc}") from exc
-    result = _eigenpair(R, vals[0], vecs[:, 0], sigma, inverse.solves)
+    p = Rp = None  # the last step, and R p
+    for _ in range(LOBPCG_MAXITER):
+        lam = x @ Rx
+        r = Rx - lam * x
+        if np.linalg.norm(r) <= tol:
+            break
+        w = inverse @ r
+        w /= np.linalg.norm(w)
+        basis, images = [x, w], [Rx, R @ w]
+        if p is not None:
+            # scaled to unit norm, which keeps the Gram matrix B well scaled
+            scale = 1.0 / np.linalg.norm(p)
+            basis.append(p * scale)
+            images.append(Rp * scale)
+        c = _rayleigh_ritz(basis, images)  # c^T B c = 1, so |x| stays 1
+        p = sum(ck * v for ck, v in zip(c[1:], basis[1:]))
+        Rp = sum(ck * v for ck, v in zip(c[1:], images[1:]))
+        x, Rx = c[0] * x + p, c[0] * Rx + Rp
+    else:
+        raise ConvergenceError(
+            f"LOBPCG did not converge in {LOBPCG_MAXITER} iterations: residual "
+            f"{np.linalg.norm(r):.3e} above {tol:.3e}"
+        )
+    result = _eigenpair(R, lam, x, sigma, inverse.solves)
     v = result.eigenvector
     if np.sum(v[v < 0.0] ** 2) > NEGATIVE_MASS_LIMIT * np.sum(v**2):
         raise ConvergenceError(
             "LOBPCG found an eigenvector that changes sign, not the ground state"
         )
     return result
+
+
+def _rayleigh_ritz(basis: list, images: list) -> np.ndarray:
+    """Coefficients in ``basis`` of the lowest Ritz vector of R on its span,
+    given ``images``, R times each basis vector.
+
+    The Gram matrices G = V^T R V and B = V^T V come from dot products, and
+    the vector solves G c = mu B c with c^T B c = 1.  When B is not
+    numerically positive definite, as when the last step p has fallen into
+    span{x, w}, the vector restarts without p, whose coefficient is then 0,
+    as SciPy's lobpcg does; ConvergenceError if w too lies along x.
+    """
+    G = np.array([[u @ Rv for Rv in images] for u in basis])
+    B = np.array([[u @ v for v in basis] for u in basis])
+    for k in (len(basis), 2):
+        try:
+            return np.pad(eigh(G[:k, :k], B[:k, :k])[1][:, 0], (0, len(basis) - k))
+        except LinAlgError:
+            pass
+    raise ConvergenceError("LOBPCG's preconditioned residual lies along its iterate")
 
 
 def _lifted(cfg: WedgeConfig, grid: GridSpec, result: SpectralResult) -> SpectralResult:

@@ -23,8 +23,8 @@ from wedgebound import (
     solve,
     verify_thm1,
 )
-from wedgebound import quadrature, spectral
-from conftest import delta_well_1d, record_criterion
+from wedgebound import boundary, quadrature, spectral
+from conftest import bie_reference, delta_well_1d, record_criterion
 
 PI_4 = math.pi / 4
 
@@ -195,7 +195,20 @@ def test_criterion_9_scaling_law(fd):
     check(9, ok, f"|lambda(2)-4*lambda(1)|={fd_err:.2e} <= {fd_budget:.2e}; quotient rel {var_rel:.2e}")
 
 
-def test_criterion_10_asymptotic_exponent(fd):
+def test_criterion_10_asymptotic_exponent(bie):
+    # the binding energy mu = -1/4 - lambda_0 near pi/2 from the boundary
+    # integral, which raises unless each mu holds to MU_RTOL of itself when
+    # its ray doubles
+    thetas = (1.1, 1.2, 1.3)
+    mu = [bie(theta).binding_energy for theta in thetas]
+    slope = float(np.polyfit([math.log(math.pi / 2 - t) for t in thetas], np.log(mu), 1)[0])
+    ok = 3.0 <= slope <= 5.0
+    mus = ", ".join(f"{m:.4e}" for m in mu)
+    check(10, ok, f"pi_half exponent from the BIE, fit slope {slope:.3f} in [3, 5]; mu = {mus}")
+
+
+def test_criterion_10_fd_fit(fd):
+    # the same fit on the FD's extrapolated values, its own ledger line
     thetas = (1.1, 1.2, 1.3)
     points = []
     conclusive = True
@@ -209,25 +222,13 @@ def test_criterion_10_asymptotic_exponent(fd):
     if conclusive and len(points) == 3:
         slope = float(np.polyfit(*zip(*points), 1)[0])
         ok = 3.0 <= slope <= 5.0
-        check(10, ok, f"pi_half exponent fit slope {slope:.3f} in [3, 5]")
+        record_criterion(10, ok, f"pi_half exponent FD fit slope {slope:.3f} in [3, 5]", " FD")
+        assert ok, f"criterion 10 FD: slope {slope:.3f}"
     else:
         # non-blocking by design: budgets overlap the tiny binding energy
-        record_criterion(10, True, "inconclusive: error budgets overlap near pi/2 (non-blocking)")
-
-
-# boundary-integral (Birman-Schwinger) ground eigenvalues at alpha = 1, an
-# independent reference listed in ROADMAP.md; near pi/2 it gives the binding
-# energy mu = -1/4 - lambda
-BIE_REFERENCE = {
-    0.02: -0.7927406109647,
-    0.05: -0.672511715458,
-    0.1: -0.559913763242,
-    PI_4: -0.265782795628690,
-    1.0: -0.254502155268957,
-    1.2: -0.25 - 8.2599e-4,
-    1.3: -0.25 - 2.3807278772e-4,
-    1.4: -0.25 - 3.8053e-5,
-}
+        record_criterion(
+            10, True, "inconclusive: error budgets overlap near pi/2 (non-blocking)", " FD"
+        )
 
 
 @pytest.mark.parametrize(
@@ -247,7 +248,9 @@ BIE_REFERENCE = {
             strict=True, reason="error/budget = 2.03: the box stops at its enlargement cap")),
     ],
 )
-def test_fd_error_budget_holds_against_the_reference(fd, theta):
+def test_fd_error_budget_holds_against_the_reference(fd, bie, theta):
+    # the reference is the boundary integral where it reaches, the table beyond
     res = fd(theta)
-    error = abs(res.extrapolated - BIE_REFERENCE[theta])
+    reference = bie(theta).eigenvalue if theta <= boundary.MAX_THETA else bie_reference(theta)
+    error = abs(res.extrapolated - reference)
     assert error <= res.error_estimate, f"error/budget = {error / res.error_estimate:.2f}"

@@ -2,7 +2,6 @@ import gc
 import itertools
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from wedgebound import (
 )
 from wedgebound import spectral
 from wedgebound.spectral import (
+    _VCycle,
     _assemble_even,
     _certified_inverse,
     _certify,
@@ -31,6 +31,7 @@ from wedgebound.spectral import (
     _multigrid_eigenpair,
     _next_shift,
     _prolongation,
+    _rayleigh_ritz,
     _residual,
 )
 from conftest import delta_well_1d
@@ -253,10 +254,8 @@ class TestLowestEigenvalue:
         lam0 = min(eigsh(R, k=2, sigma=-128.0, which="LM", return_eigenvectors=False))
         res = lowest_eigenvalue(R, shift=-128.0)
         assert res.eigenvalue == pytest.approx(lam0, rel=1e-9, abs=0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # SciPy warns at its cap
-            with pytest.raises(ConvergenceError, match="did not converge"):
-                _multigrid_eigenpair([R], [], -128.0, np.ones(R.shape[0]))
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            _multigrid_eigenpair([R], [], -128.0, np.ones(R.shape[0]))
 
     def test_previous_level_shift_saves_solves(self):
         # solve() shifts a coarse re-solve in an enlarged box by _next_shift;
@@ -565,11 +564,8 @@ class TestRefinedLevel:
     def test_iteration_cap_is_convergence_error(self, levels, monkeypatch):
         reduced, prolongs, start, (lam0, _), _ = levels
         monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 1)
-        # ignore warnings, as outside this suite: SciPy only warns at its cap
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ConvergenceError, match="did not converge"):
-                _multigrid_eigenpair(reduced, prolongs, _next_shift([lam0]), start)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            _multigrid_eigenpair(reduced, prolongs, _next_shift([lam0]), start)
 
     def test_excited_state_is_convergence_error(self, levels):
         # started on the second eigenvector, LOBPCG stays there; the shift
@@ -577,3 +573,101 @@ class TestRefinedLevel:
         reduced, prolongs, _, (lam0, _), excited = levels
         with pytest.raises(ConvergenceError, match="ground state"):
             _multigrid_eigenpair(reduced, prolongs, _next_shift([lam0]), excited)
+
+    def test_stops_at_a_tenth_of_the_residual_limit(self, levels):
+        # the stop is 0.1 * RESIDUAL_LIMIT * |rho| at the start's Rayleigh
+        # quotient rho, which the returned residual meets
+        reduced, prolongs, start, (lam0, _), _ = levels
+        R = reduced[-1]
+        rho = start @ (R @ start) / (start @ start)
+        res = _multigrid_eigenpair(reduced, prolongs, _next_shift([lam0]), start)
+        assert res.residual_norm <= 0.1 * spectral.RESIDUAL_LIMIT * abs(rho)
+        assert res.eigenvalue == pytest.approx(lam0, rel=1e-12, abs=0.0)
+
+    def test_converges_when_every_step_restarts(self, levels, monkeypatch):
+        # with p dropped at every step, as when its Gram matrix is never
+        # positive definite, LOBPCG is preconditioned steepest descent: slower,
+        # at the same eigenvalue
+        reduced, prolongs, start, (lam0, _), _ = levels
+        real_eigh = spectral.eigh
+
+        def no_three(G, B):
+            if G.shape == (3, 3):
+                raise spectral.LinAlgError("B is not positive definite")
+            return real_eigh(G, B)
+
+        monkeypatch.setattr(spectral, "eigh", no_three)
+        res = _multigrid_eigenpair(reduced, prolongs, _next_shift([lam0]), start)
+        assert res.eigenvalue == pytest.approx(lam0, rel=1e-12, abs=0.0)
+
+
+class TestRayleighRitz:
+    """The one-vector LOBPCG's Rayleigh-Ritz step on span{x, w, p}."""
+
+    @pytest.fixture(scope="class")
+    def R(self):
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((6, 6))
+        return A + A.T
+
+    def test_lowest_ritz_pair_with_p(self, R):
+        basis = list(np.random.default_rng(2).standard_normal((3, 6)))
+        c = _rayleigh_ritz(basis, [R @ v for v in basis])
+        V = np.column_stack(basis)
+        G, B = V.T @ R @ V, V.T @ V
+        # c is B-normal and reaches the smallest generalized eigenvalue
+        assert c @ B @ c == pytest.approx(1.0, rel=1e-12)
+        lowest = np.min(np.linalg.eigvals(np.linalg.solve(B, G)).real)
+        assert c @ G @ c == pytest.approx(lowest, rel=1e-10)
+
+    def test_restarts_without_p(self, R):
+        # p = x makes B singular, its last Cholesky pivot exactly 0: the step
+        # drops p, whose coefficient is 0, and solves on span{x, w}
+        x, w = np.eye(6)[0], np.array([0.6, 0.8, 0.0, 0.0, 0.0, 0.0])
+        c = _rayleigh_ritz([x, w, x], [R @ x, R @ w, R @ x])
+        two = _rayleigh_ritz([x, w], [R @ x, R @ w])
+        assert c[2] == 0.0
+        assert np.array_equal(c[:2], two)
+
+    def test_direction_along_the_iterate_is_convergence_error(self, R):
+        x = np.eye(6)[0]
+        with pytest.raises(ConvergenceError, match="lies along its iterate"):
+            _rayleigh_ritz([x, x], [R @ x, R @ x])
+
+
+def plain_cycle(levels, coarse, b):
+    # the V-cycle written out by recursion, with no update in place
+    if not levels:
+        return coarse.solve(b)
+    *below, (A, w, prolong) = levels
+    x = w * b
+    for _ in range(spectral.JACOBI_SWEEPS - 1):
+        x = x + w * (b - A @ x)
+    x = x + prolong @ plain_cycle(below, coarse, 0.25 * (prolong.T @ (b - A @ x)))
+    for _ in range(spectral.JACOBI_SWEEPS):
+        x = x + w * (b - A @ x)
+    return x
+
+
+class TestVCycle:
+    @pytest.fixture(scope="class")
+    def cycle(self):
+        # three levels: the coarse factor under two refined grids, at a shift
+        # below the spectrum
+        cfg, g = WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64)
+        grids = [g, g.refined(), g.refined().refined()]
+        reduced = [_assemble_even(cfg, grid) for grid in grids]
+        prolongs = [_prolongation(grid.n_interior) for grid in grids[:2]]
+        return _VCycle(reduced, prolongs, -2.0)
+
+    def test_symmetric_on_three_levels(self, cycle):
+        # CG and LOBPCG both need a symmetric preconditioner
+        u, v = np.random.default_rng(3).standard_normal((2, cycle.shape[0]))
+        Mu, Mv = cycle @ u, cycle @ v
+        # to rounding: 6e-18 of |u| |Mv| measured, 8e-6 with one sweep fewer after
+        assert abs(u @ Mv - Mu @ v) <= 1e-14 * np.linalg.norm(u) * np.linalg.norm(Mv)
+        assert u @ Mu > 0.0 and v @ Mv > 0.0
+
+    def test_updates_in_place_change_no_bit(self, cycle):
+        b = np.random.default_rng(4).standard_normal(cycle.shape[0])
+        assert np.array_equal(cycle @ b, plain_cycle(cycle.levels, cycle.coarse, b))
