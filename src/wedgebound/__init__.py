@@ -3,9 +3,9 @@ Schrodinger operator, with an independent finite-difference cross-check.
 
 Every public name loads its defining module on first access, so
 ``import wedgebound`` loads no submodule, and only the finite-difference
-names (``GridSpec``, ``SpectralResult``, ``assemble``, ``lowest_eigenvalue``,
-``solve``) load ``spectral``, and with it SciPy; the boundary-integral
-reference (``BoundaryResult``, ``ground_state``) loads ``boundary``.
+names (``GridSpec``, ``SpectralResult``, ``solve``) load ``spectral``, and
+with it SciPy; the boundary-integral reference (``BoundaryResult``,
+``ground_state``) loads ``boundary``.
 """
 
 import importlib
@@ -18,7 +18,7 @@ _NAMES = {
               "bound_constants", "closed_J", "closed_R", "lambda_upper"),
     "quadrature": ("QuadratureEstimate", "integrate"),
     "variational": ("RayleighReport", "optimize_bound", "quad_J", "rayleigh", "verify_thm1"),
-    "spectral": ("GridSpec", "SpectralResult", "assemble", "lowest_eigenvalue", "solve"),
+    "spectral": ("GridSpec", "SpectralResult", "solve"),
     "boundary": ("BoundaryResult", "ground_state"),
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names}

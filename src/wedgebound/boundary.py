@@ -47,6 +47,7 @@ checked against the reference table in ROADMAP.md, ``MIN_THETA`` to
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,17 +199,22 @@ def _root(theta: float, S: float, lo: float, hi: float) -> float:
 def ground_state(cfg: WedgeConfig) -> BoundaryResult:
     """The ground eigenvalue by the Birman-Schwinger boundary integral.
 
-    Takes ``MIN_THETA`` <= theta <= ``MAX_THETA`` (DomainError outside) and
-    any alpha.  The root at S (at S = 20/beta where S = 60 or 300 leaves
-    2 beta S < 37) is checked by the root at 2S, sought only in the band of
-    kappa where mu moves by at most ``MU_RTOL`` of itself: ConvergenceError
-    when it lies outside.
+    Takes ``MIN_THETA`` <= theta <= ``MAX_THETA`` and any alpha whose
+    square, and the binding energy scaled by it, are normal floats;
+    DomainError otherwise, since a result scaled below the normal range has
+    lost its digits.  The root at S (at S = 20/beta where S = 60 or 300
+    leaves 2 beta S < 37) is checked by the root at 2S, sought only in the
+    band of kappa where mu moves by at most ``MU_RTOL`` of itself:
+    ConvergenceError when it lies outside.
     """
     theta = cfg.theta
     if not MIN_THETA <= theta <= MAX_THETA:
         raise DomainError(
             f"the boundary integral covers {MIN_THETA} <= theta <= {MAX_THETA}, got {theta}"
         )
+    scale = _pow(cfg.alpha, 2)
+    if not scale >= sys.float_info.min:
+        raise DomainError(f"alpha^2 = {scale!r} is not a normal float")
     S = 60.0 if theta < 0.2 else 300.0
     kappa = _root(theta, S, 0.5, 1.0)
     beta = math.sqrt((kappa - 0.5) * (kappa + 0.5))
@@ -225,5 +231,6 @@ def ground_state(cfg: WedgeConfig) -> BoundaryResult:
             f"when the ray doubles to S = {2.0 * S}"
         ) from exc
     mu2 = (kappa - 0.5) * (kappa + 0.5)
-    scale = _pow(cfg.alpha, 2)
+    if not scale * mu2 >= sys.float_info.min:
+        raise DomainError(f"the binding energy {scale * mu2!r} underflows a normal float")
     return BoundaryResult(-scale * kappa * kappa, scale * mu2, 2.0 * S, abs(mu2 - mu) / mu)

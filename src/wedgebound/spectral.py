@@ -57,13 +57,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, splu
 
 from .trial import ConvergenceError, DomainError, WedgeConfig, _pow
 
-__all__ = [
-    "GridSpec",
-    "SpectralResult",
-    "assemble",
-    "lowest_eigenvalue",
-    "solve",
-]
+__all__ = ["GridSpec", "SpectralResult", "solve"]
 
 BOUNDARY_MASS_LIMIT = 1e-10
 RESIDUAL_LIMIT = 1e-8
@@ -125,7 +119,7 @@ class GridSpec:
         return GridSpec(2.0 * self.L, self.n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralResult:
     eigenvalue: float
     residual_norm: float
@@ -502,29 +496,28 @@ def _rayleigh_ritz(basis: list, images: list) -> np.ndarray:
     raise ConvergenceError("LOBPCG's preconditioned residual lies along its iterate")
 
 
-def _lifted(cfg: WedgeConfig, grid: GridSpec, result: SpectralResult) -> SpectralResult:
-    """``result``, solved on the grid's even subspace, for the full grid.
+def _lifted(cfg: WedgeConfig, grid: GridSpec, lam: float, w: np.ndarray) -> tuple:
+    """``(v, residual, boundary mass)`` for the eigenpair (lam, w) solved
+    on the grid's even subspace.
 
-    The eigenvector is lifted back to the full grid and its residual is
-    taken, and checked like ``lowest_eigenvalue``'s, against ``assemble``'s
-    matrix, an assembly independent of ``_assemble_even``'s.  Its boundary
-    mass is the share of its squared norm on the nodes next to the boundary.
+    v is w lifted back to the full grid, and its residual is taken, and
+    checked like ``lowest_eigenvalue``'s, against ``assemble``'s matrix, an
+    assembly independent of ``_assemble_even``'s.  The boundary mass is the
+    share of v's squared norm on the nodes next to the boundary.
     """
     m = grid.n_interior
     e = _even_basis(m)
-    result.grid = grid
     # P w: node (i, j) takes e's weight of j times w at (i, e's column of j)
-    result.eigenvector = (result.eigenvector.reshape(m, -1)[:, e.indices] * e.data).ravel()
-    result.residual_norm = _residual(assemble(cfg, grid), result.eigenvalue, result.eigenvector)
-    g = result.eigenvector.reshape(m, m)
+    v = (w.reshape(m, -1)[:, e.indices] * e.data).ravel()
+    residual = _residual(assemble(cfg, grid), lam, v)
+    g = v.reshape(m, m)
     ring = (
         np.sum(g[0, :] ** 2)
         + np.sum(g[-1, :] ** 2)
         + np.sum(g[1:-1, 0] ** 2)
         + np.sum(g[1:-1, -1] ** 2)
     )
-    result.boundary_mass = float(ring / np.sum(g**2))
-    return result
+    return v, residual, float(ring / np.sum(g**2))
 
 
 def _fit_extrapolate(hs: tuple[float, float, float], lams: tuple[float, float, float]):
@@ -566,17 +559,21 @@ def solve(
 ) -> SpectralResult:
     """Extrapolated ground eigenvalue from the grid sequence h, h/2, h/4.
 
-    Starts from L = max(8/alpha, 12) with n = 128 intervals per half-width
-    (the finest grid has 512, about a million nodes).  A given L and h must
-    be positive and finite, with L/h at most ``MAX_INTERVALS``; the coarse
-    grid then has n = max(64, round(L/h)) intervals per half-width.
-    Refining doubles n and enlarging doubles L.
+    Starts from L = 12/alpha with n = 128 intervals per half-width (the
+    finest grid has 512, about a million nodes).  The state's length scale
+    is 1/alpha, and H_alpha = alpha^2 H_1 on a grid dilated by 1/alpha, so
+    the default solve at alpha is alpha^2 times the one at alpha = 1
+    (bitwise when alpha is a power of two).  A given L and h must be
+    positive and finite, with L/h at most ``MAX_INTERVALS``; the coarse grid
+    then has n = max(64, round(L/h)) intervals per half-width.  Refining
+    doubles n and enlarging doubles L.
     Every level is solved on the even subspace of the y -> -y reflection
     (about half a million unknowns on the finest grid), with its matrix
     built there by ``_assemble_even``.  ``_lifted`` lifts its eigenvector
     back to the full grid, where ``assemble``'s matrix, built after the
-    level's V-cycle is freed, checks its residual, and sets its boundary
-    mass; solve() touches no full-grid vector or matrix itself.  The
+    level's V-cycle is freed, checks its residual, and takes its boundary
+    mass; solve() touches no full-grid vector or matrix itself, and builds
+    its result once, from the finest level.  The
     coarse grid is solved by ``lowest_eigenvalue``, with one factorization
     per shift; each refined grid by LOBPCG from the last level's
     eigenvector, interpolated, preconditioned by a V-cycle that descends
@@ -592,7 +589,7 @@ def solve(
     a hard stop.
     """
     if L is None:
-        L = max(8.0 / cfg.alpha, 12.0)
+        L = 12.0 / cfg.alpha
     if not all(0.0 < x < math.inf for x in (L, h) if x is not None):
         raise DomainError(f"L and h must be positive and finite, got L={L}, h={h}")
     if h is not None and not L / h <= MAX_INTERVALS:
@@ -604,12 +601,11 @@ def solve(
     enlargements = 0
     while True:
         R = _assemble_even(cfg, grid)
-        result = lowest_eigenvalue(R, shift=shift)
-        even = result.eigenvector
-        result = _lifted(cfg, grid, result)
-        solved.append(result.eigenvalue)
+        level = lowest_eigenvalue(R, shift=shift)
+        v, residual, mass = _lifted(cfg, grid, level.eigenvalue, level.eigenvector)
+        solved.append(level.eigenvalue)
         shift = _next_shift(solved)
-        if result.boundary_mass <= BOUNDARY_MASS_LIMIT or enlargements >= MAX_ENLARGEMENTS:
+        if mass <= BOUNDARY_MASS_LIMIT or enlargements >= MAX_ENLARGEMENTS:
             break
         grid = grid.enlarged()
         enlargements += 1
@@ -617,18 +613,19 @@ def solve(
     reduced, prolongs = [R], []  # the V-cycle's levels, coarse first
     for _ in range(2):
         prolongs.append(_prolongation(grid.n_interior))
-        start = prolongs[-1] @ even
+        start = prolongs[-1] @ level.eigenvector
         grid = grid.refined()
         reduced.append(_assemble_even(cfg, grid))
-        result = _multigrid_eigenpair(reduced, prolongs, shift, start)
-        even = result.eigenvector
-        result = _lifted(cfg, grid, result)
-        solved.append(result.eigenvalue)
+        level = _multigrid_eigenpair(reduced, prolongs, shift, start)
+        v, residual, mass = _lifted(cfg, grid, level.eigenvalue, level.eigenvector)
+        solved.append(level.eigenvalue)
         shift = _next_shift(solved)
 
     lams = tuple(solved[-3:])
     hs = (4.0 * grid.h, 2.0 * grid.h, grid.h)
-    result.extrapolated, result.error_estimate = _fit_extrapolate(hs, lams)
-    result.enlargements = enlargements
-    result.grid_eigenvalues = lams
-    return result
+    extrapolated, error_estimate = _fit_extrapolate(hs, lams)
+    return SpectralResult(
+        level.eigenvalue, residual, grid, eigenvector=v, extrapolated=extrapolated,
+        error_estimate=error_estimate, boundary_mass=mass, enlargements=enlargements,
+        grid_eigenvalues=lams, shift=level.shift, solves=level.solves,
+    )

@@ -254,3 +254,23 @@ def test_fd_error_budget_holds_against_the_reference(fd, bie, theta):
     reference = bie(theta).eigenvalue if theta <= boundary.MAX_THETA else bie_reference(theta)
     error = abs(res.extrapolated - reference)
     assert error <= res.error_estimate, f"error/budget = {error / res.error_estimate:.2f}"
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        8.0,
+        pytest.param(16.0, marks=pytest.mark.xfail(
+            strict=True, reason="error/budget = 1.169: alpha*h_finest = 0.75")),
+        pytest.param(32.0, marks=pytest.mark.xfail(
+            strict=True, reason="error/budget = 2.547: alpha*h_finest = 1.5")),
+    ],
+)
+def test_fd_error_budget_holds_on_a_given_grid(fd, bie, alpha):
+    # the benchmark's grid, L = 12 and h = 0.1875, as the state shrinks as
+    # 1/alpha: the budget models only the h terms, so it holds at
+    # alpha*h_finest = 0.375 (error/budget 0.577) and not from 0.75 on; the
+    # reference scales exactly as alpha^2
+    res = fd(PI_4, alpha, L=12.0, h=0.1875)
+    error = abs(res.extrapolated - alpha**2 * bie(PI_4).eigenvalue)
+    assert error <= res.error_estimate, f"error/budget = {error / res.error_estimate:.3f}"

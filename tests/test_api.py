@@ -40,9 +40,8 @@ CLI_OPTIONS = {
 PUBLIC_NAMES = {
     "BoundReport", "BoundaryResult", "ConvergenceError", "DomainError", "GridSpec",
     "QuadratureEstimate", "RayleighReport", "SpectralResult", "TrialParams", "WedgeConfig",
-    "assemble", "bound_constants", "closed_J", "closed_R", "ground_state", "integrate",
-    "lambda_upper", "lowest_eigenvalue", "optimize_bound", "quad_J", "rayleigh", "solve",
-    "verify_thm1",
+    "bound_constants", "closed_J", "closed_R", "ground_state", "integrate", "lambda_upper",
+    "optimize_bound", "quad_J", "rayleigh", "solve", "verify_thm1",
 }
 
 
@@ -74,9 +73,7 @@ def test_cli_options_are_pinned():
 
 def test_public_names_are_pinned():
     assert sorted(wedgebound.__all__) == sorted(PUBLIC_NAMES)
-    assert sorted(spectral.__all__) == [
-        "GridSpec", "SpectralResult", "assemble", "lowest_eigenvalue", "solve",
-    ]
+    assert spectral.__all__ == ["GridSpec", "SpectralResult", "solve"]
     # a stale entry would break `from wedgebound import *`; every name
     # resolves lazily, through the package's __getattr__, to the object its
     # defining module exports

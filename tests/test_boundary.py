@@ -52,6 +52,26 @@ def test_refuses_angles_outside_its_range(theta, monkeypatch):
         ground_state(WedgeConfig(theta, 1.0))
 
 
+@pytest.mark.parametrize("alpha", [1e-200, 1e-160])
+def test_refuses_alpha_whose_square_is_not_normal(alpha, monkeypatch):
+    # alpha^2 is 0 at 1e-200 and subnormal at 1e-160: the scaled result would
+    # read as no binding, or keep a few bits
+    def solved(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(boundary, "_root", solved)
+    with pytest.raises(DomainError, match="not a normal float"):
+        ground_state(WedgeConfig(math.pi / 4, alpha))
+
+
+def test_refuses_a_binding_energy_below_the_normal_range(monkeypatch):
+    # alpha^2 = 4e-308 is normal, and mu = 0.3125 at kappa = 0.75 scales below it
+    monkeypatch.setattr(boundary, "_root", lambda *args: 0.75)
+    assert ground_state(WedgeConfig(math.pi / 4, 1.0)).binding_energy == 0.3125
+    with pytest.raises(DomainError, match="binding energy .* underflows"):
+        ground_state(WedgeConfig(math.pi / 4, 2e-154))
+
+
 def test_short_ray_fails_the_doubling_check(monkeypatch):
     # at theta = 1.2 the first ray, S = 300, covers 2 beta S = 17 decay
     # lengths; without the re-solve at 20/beta, mu moves by more than

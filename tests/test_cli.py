@@ -375,7 +375,8 @@ class TestInvalidNumbers:
             ["bound", "--theta", "1.5707963257948966"],
             ["rayleigh", "--theta", "1.5707963257948966"],
             ["optimize", "--theta", "1.5707963257948966"],
-            # h^2 underflows; (2n - 1)^2 unknowns overflow an array index
+            # L/h above MAX_INTERVALS: refused by solve before GridSpec's h^2
+            # and index checks, which only a direct GridSpec(...) reaches
             ["solve", "--theta", "0.7", "--box", "12", "--spacing", "1e-300"],
             ["solve", "--theta", "0.7", "--box", "12", "--spacing", "1e-100"],
             # refused before any row runs, as every other subcommand refuses it

@@ -1,7 +1,9 @@
+import dataclasses
 import gc
 import itertools
 import math
 import tracemalloc
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -10,16 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
-from wedgebound import (
-    ConvergenceError,
-    DomainError,
-    GridSpec,
-    WedgeConfig,
-    assemble,
-    lambda_upper,
-    lowest_eigenvalue,
-    solve,
-)
+from wedgebound import ConvergenceError, DomainError, GridSpec, WedgeConfig, lambda_upper, solve
 from wedgebound import spectral
 from wedgebound.spectral import (
     _VCycle,
@@ -33,6 +26,8 @@ from wedgebound.spectral import (
     _prolongation,
     _rayleigh_ritz,
     _residual,
+    assemble,
+    lowest_eigenvalue,
 )
 from conftest import delta_well_1d
 
@@ -322,6 +317,8 @@ class TestSolve:
         assert quarter.boundary_mass is not None
         assert quarter.enlargements == 0
         assert quarter.eigenvalue == quarter.grid_eigenvalues[-1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            quarter.eigenvalue = 0.0
 
     def test_dilation_covariance(self, monkeypatch):
         # at L = 8/alpha with n fixed, H_alpha = alpha^2 H_1 exactly; the
@@ -333,6 +330,25 @@ class TestSolve:
             res = solve(WedgeConfig(PI_4, alpha), L=L, h=L / 64)
             lams[alpha] = np.array(res.grid_eigenvalues) / alpha**2
         assert lams[0.1] == pytest.approx(lams[1.0], rel=1e-9, abs=0.0)
+
+    def test_default_box_follows_one_over_alpha(self):
+        # the default box 12/alpha at alpha = 2 is the alpha = 1 grid dilated
+        # by 1/2, on which H_2 = 4 H_1 bit for bit; both enlarge twice
+        one = solve(WedgeConfig(PI_4, 1.0), h=12.0 / 64)
+        two = solve(WedgeConfig(PI_4, 2.0), h=6.0 / 64)
+        assert two.grid_eigenvalues == tuple(4.0 * lam for lam in one.grid_eigenvalues)
+        assert (one.grid.L, two.grid.L) == (48.0, 24.0)
+
+    def test_calls_the_benchmark_hooks(self, monkeypatch):
+        # the benchmark wraps both module attributes, which solve() calls:
+        # one Lanczos solve per box and one full-grid assembly per level
+        expected = {"lowest_eigenvalue": 3, "assemble": 5}
+        hooks = {name: Mock(wraps=getattr(spectral, name)) for name in expected}
+        for name, hook in hooks.items():
+            monkeypatch.setattr(spectral, name, hook)
+        res = solve(WedgeConfig(PI_4, 1.0), L=12.0, h=0.1875)
+        assert res.enlargements == 2
+        assert {name: hook.call_count for name, hook in hooks.items()} == expected
 
     def test_refuses_grid_beyond_memory_before_assembling(self, monkeypatch):
         # L/h = 12,000 would put about 9.2e9 nodes on the finest level;
