@@ -55,7 +55,7 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import ArpackError, eigs
 from scipy.special import k0
 
-from .trial import ConvergenceError, DomainError, WedgeConfig, _pow
+from .trial import ConvergenceError, DomainError, WedgeConfig, _alpha_squared
 
 __all__ = ["BoundaryResult", "ground_state"]
 
@@ -212,9 +212,7 @@ def ground_state(cfg: WedgeConfig) -> BoundaryResult:
         raise DomainError(
             f"the boundary integral covers {MIN_THETA} <= theta <= {MAX_THETA}, got {theta}"
         )
-    scale = _pow(cfg.alpha, 2)
-    if not scale >= sys.float_info.min:
-        raise DomainError(f"alpha^2 = {scale!r} is not a normal float")
+    scale = _alpha_squared(cfg)
     S = 60.0 if theta < 0.2 else 300.0
     kappa = _root(theta, S, 0.5, 1.0)
     beta = math.sqrt((kappa - 0.5) * (kappa + 0.5))

@@ -27,11 +27,13 @@ shift-invert Lanczos solves the coarse grid and its re-solves in an
 enlarged box, and the package's own LOBPCG on a block of one vector
 (``_multigrid_eigenpair``) the two refined grids from the last level's
 eigenvector.  LOBPCG cannot take the coarse grid too: from a flat start
-it reaches its 200-iteration cap at alpha = 8, theta = 1.3 and 1.55
-(L = 12, n = 64), where Lanczos converges, since only a Krylov space
-resolves the small gap between the ground state and the discretized line
-states.
-The first level is solved at the shift -2*alpha^2; every later level takes
+it reaches its 200-iteration cap at theta = 1.3 and 1.55 (L = 96, n = 64),
+where Lanczos converges, since only a Krylov space resolves the small gap
+between the ground state and the discretized line states.  No kernel sees
+alpha: a dilation gives lambda_0(theta, alpha) = alpha^2 lambda_0(theta, 1),
+so solve() works at alpha = 1 on its grid dilated by alpha, as the boundary
+integral does.
+The first level is solved at the shift -2; every later level takes
 its shift from the eigenvalues already solved, just below the expected one:
 that cuts a coarse re-solve's Lanczos solves two- to threefold and places a
 refined level's V-cycle.  Each shift is certified to lie below the
@@ -55,7 +57,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, eigh
 from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, splu
 
-from .trial import ConvergenceError, DomainError, WedgeConfig, _pow
+from .trial import ConvergenceError, DomainError, WedgeConfig, _alpha_squared, _pow
 
 __all__ = ["GridSpec", "SpectralResult", "solve"]
 
@@ -149,13 +151,13 @@ def _five_point(lines: int, k: int, h2: float, edge: float) -> sp.csr_matrix:
     return sp.diags([x, y, np.full(N, 4.0 / h2), y, x], [-k, -1, 0, 1, k], format="csr")
 
 
-def _ray_samples(cfg: WedgeConfig, grid: GridSpec) -> tuple[sp.csr_matrix, np.ndarray]:
+def _ray_samples(theta: float, grid: GridSpec) -> tuple[sp.csr_matrix, np.ndarray]:
     """``(S, w)``: the +theta ray sampled at arc-length spacing h, row k of S
     the bilinear stencil of sample k on the interior nodes, and w the
     samples' trapezoid weights."""
     L, h, m = grid.L, grid.h, grid.n_interior
     n = 2 * grid.n  # intervals across [-L, L]
-    cos_t, sin_t = math.cos(cfg.theta), math.sin(cfg.theta)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
     nk = int(math.floor(L / max(cos_t, sin_t) / h + 1e-9))
     t = np.arange(nk + 1) * h
     g = (np.stack([t * cos_t, t * sin_t]) + L) / h  # grid coordinates (x, y)
@@ -175,27 +177,17 @@ def _ray_samples(cfg: WedgeConfig, grid: GridSpec) -> tuple[sp.csr_matrix, np.nd
     return S, trapezoid
 
 
-def _coupling(cfg: WedgeConfig, grid: GridSpec) -> float:
-    """The line term's factor alpha/h^2; DomainError if the box is too small."""
-    if grid.L < 8.0 / cfg.alpha:
-        raise DomainError(
-            f"box half-width {grid.L} below 8/alpha = {8.0 / cfg.alpha}; "
-            "the bound state would not fit"
-        )
-    return cfg.alpha / _pow(grid.h, 2)
-
-
-def assemble(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
-    """Discretized operator on the full grid: the 5-point Dirichlet
-    Laplacian (x-major ordering) minus the coupling times the line term.
+def assemble(theta: float, grid: GridSpec) -> sp.csr_matrix:
+    """Discretized operator at alpha = 1 on the full grid: the 5-point
+    Dirichlet Laplacian (x-major ordering) minus the line term over h^2.
 
     The line term is the trapezoid-weighted sum of interpolation outer
     products: S^T W S for the +theta ray's samples (``_ray_samples``), plus
     its mirror image for the -theta ray, node (i, j) to (i, n - j).
     """
-    coupling = _coupling(cfg, grid)
+    coupling = 1.0 / _pow(grid.h, 2)
     m = grid.n_interior
-    S, w = _ray_samples(cfg, grid)
+    S, w = _ray_samples(theta, grid)
     D = (S.T @ sp.diags(w) @ S).tocoo()
     # add the mirror image, interior column c to c + (m - 1) - 2 * (c % m);
     # each entry becomes a + b, the same float as its mirror's b + a
@@ -206,7 +198,7 @@ def assemble(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
     return (_five_point(m, m, grid.h * grid.h, 1.0) - coupling * line).tocsr()
 
 
-def _assemble_even(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
+def _assemble_even(theta: float, grid: GridSpec) -> sp.csr_matrix:
     """``assemble``'s operator on the even subspace of y -> -y, P^T H P,
     built from its factors without H.
 
@@ -217,9 +209,9 @@ def _assemble_even(cfg: WedgeConfig, grid: GridSpec) -> sp.csr_matrix:
     twice the +theta ray's: with D = (S P)^T W (S P) from ``_ray_samples``,
     it is D + D^T, bitwise symmetric.
     """
-    coupling = _coupling(cfg, grid)
+    coupling = 1.0 / _pow(grid.h, 2)
     m = grid.n_interior
-    S, w = _ray_samples(cfg, grid)
+    S, w = _ray_samples(theta, grid)
     e = _even_basis(m)
     # S P: sample k's node (i, j) moves to even column (i, e's column of j)
     i, j = np.divmod(S.indices, m)
@@ -496,7 +488,7 @@ def _rayleigh_ritz(basis: list, images: list) -> np.ndarray:
     raise ConvergenceError("LOBPCG's preconditioned residual lies along its iterate")
 
 
-def _lifted(cfg: WedgeConfig, grid: GridSpec, lam: float, w: np.ndarray) -> tuple:
+def _lifted(theta: float, grid: GridSpec, lam: float, w: np.ndarray) -> tuple:
     """``(v, residual, boundary mass)`` for the eigenpair (lam, w) solved
     on the grid's even subspace.
 
@@ -509,7 +501,7 @@ def _lifted(cfg: WedgeConfig, grid: GridSpec, lam: float, w: np.ndarray) -> tupl
     e = _even_basis(m)
     # P w: node (i, j) takes e's weight of j times w at (i, e's column of j)
     v = (w.reshape(m, -1)[:, e.indices] * e.data).ravel()
-    residual = _residual(assemble(cfg, grid), lam, v)
+    residual = _residual(assemble(theta, grid), lam, v)
     g = v.reshape(m, m)
     ring = (
         np.sum(g[0, :] ** 2)
@@ -542,7 +534,7 @@ def _next_shift(solved: list[float]) -> float:
     Below the last eigenvalue by twice the last change between levels, and
     by at least a quarter of its magnitude.  On a coarse re-solve after an
     enlargement, so close a shift cuts the Lanczos solves two- to threefold
-    against -2*alpha^2; on a refined level it is the V-cycle's sigma.  The
+    against -2; on a refined level it is the V-cycle's sigma.  The
     certificate in ``_certify`` catches one that lands above the spectrum.
     """
     lam = solved[-1]
@@ -559,14 +551,13 @@ def solve(
 ) -> SpectralResult:
     """Extrapolated ground eigenvalue from the grid sequence h, h/2, h/4.
 
-    Starts from L = 12/alpha with n = 128 intervals per half-width (the
-    finest grid has 512, about a million nodes).  The state's length scale
-    is 1/alpha, and H_alpha = alpha^2 H_1 on a grid dilated by 1/alpha, so
-    the default solve at alpha is alpha^2 times the one at alpha = 1
-    (bitwise when alpha is a power of two).  A given L and h must be
-    positive and finite, with L/h at most ``MAX_INTERVALS``; the coarse grid
-    then has n = max(64, round(L/h)) intervals per half-width.  Refining
-    doubles n and enlarging doubles L.
+    Works at alpha = 1 on the grid dilated by alpha, box alpha*L (12 when no
+    L is given) with n = max(64, round(L/h)) intervals per half-width (128
+    when no h is given, 512 on the finest grid, about a million nodes), then
+    scales the energies by alpha^2 and reports the grid in the caller's
+    units.  DomainError before any assembly unless alpha^2 is a normal float,
+    a given L and h are positive and finite, L/h is at most ``MAX_INTERVALS``
+    and L is at least 8/alpha.  Refining doubles n and enlarging doubles L.
     Every level is solved on the even subspace of the y -> -y reflection
     (about half a million unknowns on the finest grid), with its matrix
     built there by ``_assemble_even``.  ``_lifted`` lifts its eigenvector
@@ -578,7 +569,7 @@ def solve(
     per shift; each refined grid by LOBPCG from the last level's
     eigenvector, interpolated, preconditioned by a V-cycle that descends
     through the grids solved before it to the coarse grid's factor.  The
-    first solve uses the shift -2*alpha^2 and every later one, coarse
+    first solve uses the shift -2 and every later one, coarse
     re-solves after an enlargement included, ``_next_shift`` of the
     eigenvalues solved before it; every shift is certified below the
     spectrum before its iteration runs.  If the coarse eigenfunction's
@@ -588,21 +579,25 @@ def solve(
     the line keeps some mass at the boundary at any box size, so the cap is
     a hard stop.
     """
-    if L is None:
-        L = 12.0 / cfg.alpha
+    scale = _alpha_squared(cfg)
+    box, L = (12.0, 12.0 / cfg.alpha) if L is None else (cfg.alpha * L, L)
     if not all(0.0 < x < math.inf for x in (L, h) if x is not None):
         raise DomainError(f"L and h must be positive and finite, got L={L}, h={h}")
     if h is not None and not L / h <= MAX_INTERVALS:
         raise DomainError(f"L/h must be at most {MAX_INTERVALS}, got L={L}, h={h}")
-    grid = GridSpec(L, 128 if h is None else max(64, round(L / h)))
-    shift = -2.0 * _pow(cfg.alpha, 2)
+    if L < 8.0 / cfg.alpha:
+        raise DomainError(
+            f"box half-width {L} below 8/alpha = {8.0 / cfg.alpha}; the bound state would not fit"
+        )
+    grid = GridSpec(box, 128 if h is None else max(64, round(L / h)))
+    theta, shift = cfg.theta, -2.0
     solved: list[float] = []  # every eigenvalue so far, in solve order
 
     enlargements = 0
     while True:
-        R = _assemble_even(cfg, grid)
+        R = _assemble_even(theta, grid)
         level = lowest_eigenvalue(R, shift=shift)
-        v, residual, mass = _lifted(cfg, grid, level.eigenvalue, level.eigenvector)
+        v, residual, mass = _lifted(theta, grid, level.eigenvalue, level.eigenvector)
         solved.append(level.eigenvalue)
         shift = _next_shift(solved)
         if mass <= BOUNDARY_MASS_LIMIT or enlargements >= MAX_ENLARGEMENTS:
@@ -615,17 +610,18 @@ def solve(
         prolongs.append(_prolongation(grid.n_interior))
         start = prolongs[-1] @ level.eigenvector
         grid = grid.refined()
-        reduced.append(_assemble_even(cfg, grid))
+        reduced.append(_assemble_even(theta, grid))
         level = _multigrid_eigenpair(reduced, prolongs, shift, start)
-        v, residual, mass = _lifted(cfg, grid, level.eigenvalue, level.eigenvector)
+        v, residual, mass = _lifted(theta, grid, level.eigenvalue, level.eigenvector)
         solved.append(level.eigenvalue)
         shift = _next_shift(solved)
 
-    lams = tuple(solved[-3:])
     hs = (4.0 * grid.h, 2.0 * grid.h, grid.h)
-    extrapolated, error_estimate = _fit_extrapolate(hs, lams)
+    extrapolated, error_estimate = _fit_extrapolate(hs, tuple(solved[-3:]))
     return SpectralResult(
-        level.eigenvalue, residual, grid, eigenvector=v, extrapolated=extrapolated,
-        error_estimate=error_estimate, boundary_mass=mass, enlargements=enlargements,
-        grid_eigenvalues=lams, shift=level.shift, solves=level.solves,
+        scale * level.eigenvalue, scale * residual, GridSpec(L * 2**enlargements, grid.n),
+        eigenvector=v, extrapolated=scale * extrapolated,
+        error_estimate=scale * error_estimate, boundary_mass=mass, enlargements=enlargements,
+        grid_eigenvalues=tuple(scale * lam for lam in solved[-3:]),
+        shift=scale * level.shift, solves=level.solves,
     )

@@ -15,6 +15,7 @@ defined here too.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -120,6 +121,15 @@ def _pow(base: float, exponent: float) -> float:
         return base**exponent
     except OverflowError:
         raise DomainError(f"{base}**{exponent} overflows a float") from None
+
+
+def _alpha_squared(cfg: WedgeConfig) -> float:
+    """alpha^2, by which a solver at alpha = 1 scales its energies; DomainError
+    unless it is a normal float, below which a scaled result has lost its digits."""
+    scale = _pow(cfg.alpha, 2)
+    if not scale >= sys.float_info.min:
+        raise DomainError(f"alpha^2 = {scale!r} is not a normal float")
+    return scale
 
 
 def closed_R(cfg: WedgeConfig, rho: float) -> float:

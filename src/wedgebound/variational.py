@@ -30,7 +30,6 @@ from .trial import _check_rho, _pow
 
 __all__ = [
     "RayleighReport",
-    "log_profile_F",
     "rayleigh",
     "quad_J",
     "verify_thm1",

@@ -245,6 +245,15 @@ class TestOut:
         assert code == 1
         assert path.read_text() == "earlier report\n"
 
+    def test_unwritable_path_refused(self, capsys, tmp_path, monkeypatch):
+        # run as root, every write is granted, so the denial is patched in
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        path = tmp_path / "r.json"
+        code, out, err = run(capsys, "bound", "--theta", "0.7", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"wedgebound: invalid input: cannot write --out {path}: permission denied\n"
+        assert not path.exists()
+
     def test_write_error_exit_1(self, capsys, tmp_path, monkeypatch):
         # the directory vanishes between the check and the write
         monkeypatch.setattr(cli, "_check_out", lambda path: None)
@@ -300,6 +309,24 @@ class TestSweep:
             assert [r["status"] for r in csv.DictReader(io.StringIO(out))] == [
                 r["status"] for r in rows
             ]
+
+    def test_inconclusive_rows(self, capsys):
+        # near pi/2 on a small grid the FD eigenvalue lies within its error
+        # budget of -alpha^2/4 = -0.25, so its sign against it is unsettled
+        argv = ["sweep", "--theta-min", "1.3", "--theta-max", "1.4", "--theta-steps", "2",
+                "--with-solver", "--box", "12", "--spacing", "0.1875"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        tables = [json.loads(out)["results"]["rows"]]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        tables.append(list(csv.DictReader(io.StringIO(out))))
+        for rows in tables:
+            for r in rows:
+                gap = -0.25 - float(r["lambda_fd"])
+                inconclusive = gap <= float(r["fd_error_budget"])
+                assert r["status"] == ("inconclusive" if inconclusive else "ok")
+            assert [r["status"] for r in rows] == ["inconclusive"] * 2
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_out_file_matches_stdout(self, capsys, tmp_path, fmt):

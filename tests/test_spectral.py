@@ -125,32 +125,24 @@ class TestAssemble:
             assert np.array_equal(getattr(got, field), getattr(expected, field))
 
     def test_exact_symmetry(self):
-        H = assemble(WedgeConfig(0.7, 1.0), GridSpec(12.0, 64))
+        H = assemble(0.7, GridSpec(12.0, 64))
         assert abs(H - H.T).max() == 0.0
 
     def test_reflection_commutes(self):
         g = GridSpec(12.0, 64)
-        H = assemble(WedgeConfig(0.7, 1.0), g)
+        H = assemble(0.7, g)
         P = reflection(g.n_interior)
         assert abs(H @ P - P @ H).max() == 0.0
 
-    def test_too_coarse_ray_sampling(self):
-        # a ray runs at least L inside the box, so the n >= 64 invariant
-        # already gives it 64 samples; check the small-box guard instead.
-        with pytest.raises(DomainError):
-            assemble(WedgeConfig(0.7, 0.1), GridSpec(12.0, 64))
-
-    @given(theta=st.floats(0.2, 1.5), alpha=st.floats(0.5, 3.0))
+    @given(theta=st.floats(0.2, 1.5), L=st.floats(8.0, 48.0))
     @settings(max_examples=30, deadline=None)
-    def test_z_matrix(self, theta, alpha):
+    def test_z_matrix(self, theta, L):
         # the refined levels' LOBPCG sign check rests on this: the ground
         # state of an irreducible Z-matrix is its only eigenvector without a
         # sign change
-        L = 8.0 / alpha
         g = GridSpec(L, 64)  # the coarsest grid GridSpec allows
-        cfg = WedgeConfig(theta, alpha)
-        H = assemble(cfg, g)
-        for M in (H.tocoo(), _assemble_even(cfg, g).tocoo()):
+        H = assemble(theta, g)
+        for M in (H.tocoo(), _assemble_even(theta, g).tocoo()):
             assert not np.any(M.data[M.row != M.col] > 0.0)
         # the even-subspace restriction rests on an exact reflection symmetry
         m = g.n_interior
@@ -161,7 +153,7 @@ class TestAssemble:
         # the line term times the coupling, which assemble subtracts
         g = GridSpec(12.0, 64)
         m = g.n_interior
-        D = _five_point(m, m, g.h * g.h, 1.0) - assemble(WedgeConfig(0.9, 1.0), g)
+        D = _five_point(m, m, g.h * g.h, 1.0) - assemble(0.9, g)
         rng = np.random.default_rng(0)
         for _ in range(5):
             v = rng.standard_normal(D.shape[0])
@@ -171,20 +163,20 @@ class TestAssemble:
 class TestLowestEigenvalue:
     def test_residual_small(self):
         g = GridSpec(12.0, 128)
-        res = lowest_eigenvalue(assemble(WedgeConfig(PI_4, 1.0), g), shift=-2.0)
+        res = lowest_eigenvalue(assemble(PI_4, g), shift=-2.0)
         assert res.residual_norm <= 1e-8 * abs(res.eigenvalue)
         assert res.eigenvalue < -0.25
 
     def test_mirror_symmetric_ground_state(self):
         g = GridSpec(12.0, 128)
-        res = lowest_eigenvalue(assemble(WedgeConfig(0.8, 1.0), g), shift=-2.0)
+        res = lowest_eigenvalue(assemble(0.8, g), shift=-2.0)
         v = res.eigenvector
         P = reflection(g.n_interior)
         assert np.linalg.norm(v - P @ v) <= 1e-6 * np.linalg.norm(v)
 
     def test_deterministic(self):
         g = GridSpec(12.0, 64)
-        H = assemble(WedgeConfig(0.8, 1.0), g)
+        H = assemble(0.8, g)
         r1 = lowest_eigenvalue(H, shift=-2.0)
         r2 = lowest_eigenvalue(H, shift=-2.0)
         assert r1.eigenvalue == r2.eigenvalue
@@ -193,7 +185,7 @@ class TestLowestEigenvalue:
     def spectrum(self):
         # lambda_0 = -0.2541 and lambda_1 = -0.1905 on this grid
         g = GridSpec(12.0, 128)
-        H = assemble(WedgeConfig(PI_4, 1.0), g)
+        H = assemble(PI_4, g)
         lams = eigsh(H, k=2, sigma=-2.0, which="LM", return_eigenvectors=False)
         return H, g, sorted(lams)
 
@@ -216,7 +208,7 @@ class TestLowestEigenvalue:
     def test_matrix_with_positive_off_diagonal(self, case, certified):
         # the certificate tests the comparison matrix, so H need not be a
         # Z-matrix; with every off-diagonal sign flipped it fails at -2 and -9
-        H = assemble(WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64))
+        H = assemble(PI_4, GridSpec(12.0, 64))
         if case == "one_pair":
             H = H.tolil()
             H[0, 1] = H[1, 0] = 1e-3
@@ -231,7 +223,7 @@ class TestLowestEigenvalue:
     def test_one_level_inverse_is_the_factor(self):
         # with no refined level the V-cycle is the coarse factor's solve, and
         # its certificate's CG stops after one application
-        R = _assemble_even(WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64))
+        R = _assemble_even(PI_4, GridSpec(12.0, 64))
         sigma = -2.0
         certified, inverse = _certified_inverse([R], [], sigma)
         assert (certified, inverse.solves) == (sigma, 1)
@@ -241,23 +233,24 @@ class TestLowestEigenvalue:
         assert np.array_equal(inverse @ b, factor.solve(b))
 
     def test_narrow_gap_needs_lanczos(self):
-        # lambda_0 = -12.4153 and lambda_1 = -12.4028: the ground state sits
-        # just below the discretized line states, a gap that shift-invert
-        # Lanczos resolves and LOBPCG from a flat start, even with the exact
-        # inverse, does not within its iteration cap
-        R = _assemble_even(WedgeConfig(1.55, 8.0), GridSpec(12.0, 64))
-        lam0 = min(eigsh(R, k=2, sigma=-128.0, which="LM", return_eigenvectors=False))
-        res = lowest_eigenvalue(R, shift=-128.0)
+        # on the grid solve() dilates alpha = 8, L = 12 to, lambda_0 =
+        # -0.193989 and lambda_1 = -0.193793: the ground state sits just below
+        # the discretized line states, a gap that shift-invert Lanczos
+        # resolves and LOBPCG from a flat start, even with the exact inverse,
+        # does not within its iteration cap
+        R = _assemble_even(1.55, GridSpec(96.0, 64))
+        lam0 = min(eigsh(R, k=2, sigma=-2.0, which="LM", return_eigenvectors=False))
+        res = lowest_eigenvalue(R, shift=-2.0)
         assert res.eigenvalue == pytest.approx(lam0, rel=1e-9, abs=0.0)
         with pytest.raises(ConvergenceError, match="did not converge"):
-            _multigrid_eigenpair([R], [], -128.0, np.ones(R.shape[0]))
+            _multigrid_eigenpair([R], [], -2.0, np.ones(R.shape[0]))
 
     def test_previous_level_shift_saves_solves(self):
         # solve() shifts a coarse re-solve in an enlarged box by _next_shift;
         # 22 solves against 52 at -2 here
-        cfg, coarse = WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64)
-        lam = lowest_eigenvalue(_assemble_even(cfg, coarse), shift=-2.0).eigenvalue
-        R = _assemble_even(cfg, coarse.enlarged())
+        coarse = GridSpec(12.0, 64)
+        lam = lowest_eigenvalue(_assemble_even(PI_4, coarse), shift=-2.0).eigenvalue
+        R = _assemble_even(PI_4, coarse.enlarged())
         fixed = lowest_eigenvalue(R, shift=-2.0)
         near = lowest_eigenvalue(R, shift=_next_shift([lam]))
         assert (fixed.shift, near.shift) == (-2.0, _next_shift([lam]))
@@ -321,8 +314,8 @@ class TestSolve:
             quarter.eigenvalue = 0.0
 
     def test_dilation_covariance(self, monkeypatch):
-        # at L = 8/alpha with n fixed, H_alpha = alpha^2 H_1 exactly; the
-        # residual limit is relative, so the refined levels' stop must be too
+        # solve() dilates L = 8/alpha with n fixed to the box 8 (to rounding)
+        # and scales by alpha^2
         monkeypatch.setattr(spectral, "MAX_ENLARGEMENTS", 0)
         lams = {}
         for alpha in (1.0, 0.1):
@@ -338,6 +331,36 @@ class TestSolve:
         two = solve(WedgeConfig(PI_4, 2.0), h=6.0 / 64)
         assert two.grid_eigenvalues == tuple(4.0 * lam for lam in one.grid_eigenvalues)
         assert (one.grid.L, two.grid.L) == (48.0, 24.0)
+
+    @pytest.fixture(scope="class")
+    def at_alpha_one(self):
+        return solve(WedgeConfig(0.7, 1.0), L=12.0, h=0.1875)
+
+    @pytest.mark.parametrize("alpha", [2.0**-400, 2.0**-330, 2.0**27])
+    def test_dilation_is_exact_at_any_scale(self, at_alpha_one, alpha):
+        # the grid 12/alpha, 0.1875/alpha dilates to L = 12, h = 0.1875 at every
+        # alpha, and alpha^2 is a power of two; when the kernels took alpha,
+        # 2**-400 gave a positive eigenvalue (the line term underflowed),
+        # 2**-330 extrapolated 17% off and 2**27 raised ConvergenceError
+        res = solve(WedgeConfig(0.7, alpha), L=12.0 / alpha, h=0.1875 / alpha)
+        one, scale = at_alpha_one, alpha**2
+        assert res.grid_eigenvalues == tuple(scale * lam for lam in one.grid_eigenvalues)
+        assert res.extrapolated == scale * one.extrapolated
+        assert res.error_estimate == scale * one.error_estimate
+        assert res.grid.L == 48.0 / alpha
+
+    def test_refuses_a_box_below_eight_over_alpha_before_assembling(self, monkeypatch):
+        def assembled(*args):
+            raise AssertionError("assembled")
+
+        monkeypatch.setattr(spectral, "_assemble_even", assembled)
+        with pytest.raises(DomainError, match="below 8/alpha"):
+            solve(WedgeConfig(0.7, 0.1), L=12.0)
+
+    def test_refuses_alpha_squared_below_the_normal_range(self):
+        # alpha^2 = 1e-320 is subnormal, so a scaled result would lose digits
+        with pytest.raises(DomainError, match=r"alpha\^2 = .* is not a normal float"):
+            solve(WedgeConfig(0.7, 1e-160))
 
     def test_calls_the_benchmark_hooks(self, monkeypatch):
         # the benchmark wraps both module attributes, which solve() calls:
@@ -402,12 +425,14 @@ class TestEvenSubspace:
     @pytest.mark.parametrize("alpha", [0.5, 3.0])
     @pytest.mark.parametrize("theta", [0.2, PI_4, 1.5])
     def test_assembled_from_factors(self, theta, alpha, n):
-        # against the reduction of the full grid's matrix, symmetrized
-        cfg, g = WedgeConfig(theta, alpha), GridSpec(8.0 / alpha, n)
+        # against the reduction of the full grid's matrix, symmetrized, on
+        # the grid solve() dilates a box of 16 to: 8 at alpha = 0.5, the
+        # smallest it takes, and 48 at alpha = 3
+        g = GridSpec(16.0 * alpha, n)
         P = even_isometry(g.n_interior)
-        expected = P.T @ assemble(cfg, g) @ P
+        expected = P.T @ assemble(theta, g) @ P
         expected = (expected + expected.T) * 0.5
-        R = _assemble_even(cfg, g)
+        R = _assemble_even(theta, g)
         assert abs(R - expected).max() <= 1e-13 * abs(R).max()
         assert (R != R.T).nnz == 0
         C = R.tocoo()
@@ -427,38 +452,32 @@ class TestEvenSubspace:
 
     @pytest.fixture(scope="class")
     def reduced(self):
-        cfg = WedgeConfig(PI_4, 1.0)
-        g = GridSpec(12.0, 64)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "MAX_ENLARGEMENTS", 0)
-            return cfg, g, solve(cfg, L=g.L, h=g.h)
+            return solve(WedgeConfig(PI_4, 1.0), L=12.0, h=12.0 / 64)
 
     def test_matches_full_grid(self, monkeypatch):
-        # adaptive shifts on the even subspace against the fixed shift
-        # -2*alpha^2 on the full grid
+        # adaptive shifts on the even subspace against the fixed shift -2 on
+        # the full grid that solve() dilates L = 12 to, scaled by alpha^2
         monkeypatch.setattr(spectral, "MAX_ENLARGEMENTS", 0)
         cases = [*itertools.product((0.3, PI_4, 1.3), (1.0, 2.0)), (1.45, 4.0)]
         for theta, alpha in cases:
-            cfg = WedgeConfig(theta, alpha)
-            g = GridSpec(12.0, 64)
-            res = solve(cfg, L=g.L, h=g.h)
+            res = solve(WedgeConfig(theta, alpha), L=12.0, h=12.0 / 64)
+            g = GridSpec(12.0 * alpha, 64)
             for lam in res.grid_eigenvalues:
-                H = assemble(cfg, g)
-                full = lowest_eigenvalue(H, shift=-2.0 * alpha**2)
-                assert lam == pytest.approx(full.eigenvalue, rel=1e-9, abs=0.0), (
+                full = lowest_eigenvalue(assemble(theta, g), shift=-2.0)
+                assert lam == pytest.approx(alpha**2 * full.eigenvalue, rel=1e-9, abs=0.0), (
                     theta, alpha, g
                 )
                 g = g.refined()
 
-    @given(theta=st.floats(0.2, 1.5), alpha=st.floats(0.5, 3.0))
+    @given(theta=st.floats(0.2, 1.5), L=st.floats(8.0, 48.0))
     @settings(max_examples=15, deadline=None)
-    def test_ground_state_is_even(self, theta, alpha):
+    def test_ground_state_is_even(self, theta, L):
         # the even subspace holds the lowest eigenvalue of the full grid
-        cfg = WedgeConfig(theta, alpha)
-        L = 8.0 / alpha
         g = GridSpec(L, 64)
-        even = lowest_eigenvalue(_assemble_even(cfg, g), -2.0 * alpha**2)
-        full = lowest_eigenvalue(assemble(cfg, g), -2.0 * alpha**2)
+        even = lowest_eigenvalue(_assemble_even(theta, g), -2.0)
+        full = lowest_eigenvalue(assemble(theta, g), -2.0)
         assert even.eigenvalue == pytest.approx(full.eigenvalue, rel=1e-9, abs=0.0)
 
     def test_mirror_asymmetric_operator_fails_full_residual(self, monkeypatch):
@@ -466,8 +485,8 @@ class TestEvenSubspace:
         # eigenpair passes lowest_eigenvalue's check, its lift must not pass
         mirror_symmetric = spectral.assemble
 
-        def asymmetric(cfg, grid):
-            H = mirror_symmetric(cfg, grid).tolil()
+        def asymmetric(theta, grid):
+            H = mirror_symmetric(theta, grid).tolil()
             m = grid.n_interior
             a = (m // 2) * m + m // 2 + 2  # node (0, 2h), off the bisector
             H[a, a + 1] -= 0.5
@@ -479,11 +498,11 @@ class TestEvenSubspace:
             solve(WedgeConfig(PI_4, 1.0), L=12.0, h=12.0 / 64)
 
     def test_lifted_eigenvector(self, reduced):
-        cfg, _, res = reduced
+        res = reduced
         v, m = res.eigenvector, res.grid.n_interior
         assert v.shape == (m * m,)
         assert np.linalg.norm(v - reflection(m) @ v) <= 1e-12 * np.linalg.norm(v)
-        H = assemble(cfg, res.grid)
+        H = assemble(PI_4, res.grid)
         assert _residual(H, res.eigenvalue, v) <= 1e-8 * abs(res.eigenvalue)
         assert res.residual_norm == _residual(H, res.eigenvalue, v)
 
@@ -491,7 +510,7 @@ class TestEvenSubspace:
 class TestSolverFailures:
     @pytest.fixture(scope="class")
     def H(self):
-        return assemble(WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64))
+        return assemble(PI_4, GridSpec(12.0, 64))
 
     def test_arpack_failure_is_convergence_error(self, H, monkeypatch):
         # a lower shift cannot help Lanczos at a certified one: no retry
@@ -558,8 +577,8 @@ class TestRefinedLevel:
     @pytest.fixture(scope="class")
     def levels(self):
         # lambda_0 = -0.2541 and lambda_1 = -0.1539 on the refined even subspace
-        cfg, g = WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64)
-        Rc, R = (_assemble_even(cfg, grid) for grid in (g, g.refined()))
+        g = GridSpec(12.0, 64)
+        Rc, R = (_assemble_even(PI_4, grid) for grid in (g, g.refined()))
         prolong = _prolongation(g.n_interior)
         start = prolong @ lowest_eigenvalue(Rc, shift=-2.0).eigenvector
         lams, vecs = eigsh(R, k=2, sigma=-2.0, which="LM")
@@ -670,9 +689,9 @@ class TestVCycle:
     def cycle(self):
         # three levels: the coarse factor under two refined grids, at a shift
         # below the spectrum
-        cfg, g = WedgeConfig(PI_4, 1.0), GridSpec(12.0, 64)
+        g = GridSpec(12.0, 64)
         grids = [g, g.refined(), g.refined().refined()]
-        reduced = [_assemble_even(cfg, grid) for grid in grids]
+        reduced = [_assemble_even(PI_4, grid) for grid in grids]
         prolongs = [_prolongation(grid.n_interior) for grid in grids[:2]]
         return _VCycle(reduced, prolongs, -2.0)
 
