@@ -16,9 +16,12 @@ positive, hence even, so solve() restricts every grid level to the even
 subspace (about half the unknowns).  It builds that level's matrix R from
 1D factors, the 5-point stencil on the half grid and the +theta ray's
 samples, without forming the full grid's matrix; then ``_lifted`` lifts
-the eigenvector back to the full grid, checks its residual again against
-``assemble``'s matrix, built only for that check, and takes its boundary
-mass, from which solve() decides whether to enlarge the box.  Every level
+the eigenvector back to the full grid, checks its residual again with the
+full-grid operator applied to the node array (``_full_product``), which
+forms no matrix and shares only the ray samples with R, and takes its
+boundary mass, from which solve() decides whether to enlarge the box.  No
+solve forms the full grid's matrix: ``assemble`` builds it only as the
+tests' reference.  Every level
 has one certified inverse of R - sigma*I, a multigrid V-cycle (weighted
 Jacobi smoothing, bilinear transfer between the levels' even subspaces, an
 exact solve with a factor of the coarse grid), which on the coarse grid
@@ -54,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, eigh
+from scipy.linalg import LinAlgError, eigh, norm
 from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, splu
 
 from .trial import ConvergenceError, DomainError, WedgeConfig, _alpha_squared, _pow
@@ -81,8 +84,8 @@ JACOBI_SWEEPS = 2
 #: solve()'s cap on box doublings, read at each call
 MAX_ENLARGEMENTS = 2
 #: solve()'s cap on a given L/h, the coarse intervals per half-width n: the
-#: finest level's (8n - 1)^2 nodes cost about 300 bytes each of peak RSS, so
-#: n = 256 (4.2M nodes) needs about 1.3 GB
+#: finest level's (8n - 1)^2 nodes cost about 210 bytes each of peak RSS, so
+#: n = 256 (4.2M nodes) needs about 0.9 GB
 MAX_INTERVALS = 256
 
 
@@ -183,7 +186,9 @@ def assemble(theta: float, grid: GridSpec) -> sp.csr_matrix:
 
     The line term is the trapezoid-weighted sum of interpolation outer
     products: S^T W S for the +theta ray's samples (``_ray_samples``), plus
-    its mirror image for the -theta ray, node (i, j) to (i, n - j).
+    its mirror image for the -theta ray, node (i, j) to (i, n - j).  No
+    solve builds this matrix: it is the full-grid reference that the tests
+    hold ``_assemble_even`` and ``_full_product`` against.
     """
     coupling = 1.0 / _pow(grid.h, 2)
     m = grid.n_interior
@@ -196,6 +201,29 @@ def assemble(theta: float, grid: GridSpec) -> sp.csr_matrix:
     # symmetric by construction; remove rounding asymmetry from the matmul
     line = (D + D.T) * 0.5
     return (_five_point(m, m, grid.h * grid.h, 1.0) - coupling * line).tocsr()
+
+
+def _full_product(theta: float, grid: GridSpec, v: np.ndarray) -> np.ndarray:
+    """``assemble(theta, grid) @ v`` without the matrix, from the node array
+    u = v.reshape(m, m): the 5-point stencil (4u - u[i+-1] - u[j+-1]) / h^2
+    by slicing, a neighbour outside the grid counting as 0, minus the line
+    term (S^T W S v + M S^T W S M v) / h^2, with (S, w) from
+    ``_ray_samples`` and M the mirror u[:, ::-1] (node j to m - 1 - j).
+    Like ``assemble``, it shares only ``_ray_samples`` with
+    ``_assemble_even``.
+    """
+    m = grid.n_interior
+    u = v.reshape(m, m)
+    Hu = 4.0 * u
+    Hu[1:] -= u[:-1]
+    Hu[:-1] -= u[1:]
+    Hu[:, 1:] -= u[:, :-1]
+    Hu[:, :-1] -= u[:, 1:]
+    S, w = _ray_samples(theta, grid)
+    Hu -= (S.T @ (w * (S @ v))).reshape(m, m)
+    Hu -= (S.T @ (w * (S @ u[:, ::-1].ravel()))).reshape(m, m)[:, ::-1]
+    Hu /= grid.h * grid.h
+    return Hu.ravel()
 
 
 def _assemble_even(theta: float, grid: GridSpec) -> sp.csr_matrix:
@@ -224,12 +252,19 @@ def _assemble_even(theta: float, grid: GridSpec) -> sp.csr_matrix:
     return (laplacian - coupling * (D + D.T)).tocsr()
 
 
-def _residual(H: sp.spmatrix, lam: float, v: np.ndarray) -> float:
-    """||H v - lam v|| / ||v||; ConvergenceError above RESIDUAL_LIMIT * |lam|."""
-    res = float(np.linalg.norm(H @ v - lam * v) / np.linalg.norm(v))
-    if res > RESIDUAL_LIMIT * abs(lam):
+def _norm(x: np.ndarray) -> float:
+    """||x|| by BLAS nrm2, which scales, so it does not underflow where the
+    squares of x's entries do; a NaN entry gives NaN."""
+    return norm(x, check_finite=False)
+
+
+def _residual(Hv: np.ndarray, lam: float, v: np.ndarray) -> float:
+    """||H v - lam v|| / ||v|| from the product Hv = H v; ConvergenceError
+    unless it is at most RESIDUAL_LIMIT * |lam|, so also when it is NaN."""
+    res = float(_norm(Hv - lam * v) / _norm(v))
+    if not res <= RESIDUAL_LIMIT * abs(lam):
         raise ConvergenceError(
-            f"eigen residual {res} exceeds {RESIDUAL_LIMIT}*|eigenvalue|"
+            f"eigen residual {res} is not within {RESIDUAL_LIMIT}*|eigenvalue|"
         )
     return res
 
@@ -262,7 +297,7 @@ def _eigenpair(
     its residual checked by ``_residual``, v signed positive at its largest
     entry."""
     lam = float(lam)
-    res = _residual(H, lam, v)
+    res = _residual(H @ v, lam, v)
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
     return SpectralResult(lam, res, None, eigenvector=v, shift=sigma, solves=solves)
@@ -440,7 +475,7 @@ def _multigrid_eigenpair(
     for _ in range(LOBPCG_MAXITER):
         lam = x @ Rx
         r = Rx - lam * x
-        if np.linalg.norm(r) <= tol:
+        if _norm(r) <= tol:
             break
         w = inverse @ r
         w /= np.linalg.norm(w)
@@ -457,7 +492,7 @@ def _multigrid_eigenpair(
     else:
         raise ConvergenceError(
             f"LOBPCG did not converge in {LOBPCG_MAXITER} iterations: residual "
-            f"{np.linalg.norm(r):.3e} above {tol:.3e}"
+            f"{_norm(r):.3e} above {tol:.3e}"
         )
     result = _eigenpair(R, lam, x, sigma, inverse.solves)
     v = result.eigenvector
@@ -493,15 +528,16 @@ def _lifted(theta: float, grid: GridSpec, lam: float, w: np.ndarray) -> tuple:
     on the grid's even subspace.
 
     v is w lifted back to the full grid, and its residual is taken, and
-    checked like ``lowest_eigenvalue``'s, against ``assemble``'s matrix, an
-    assembly independent of ``_assemble_even``'s.  The boundary mass is the
-    share of v's squared norm on the nodes next to the boundary.
+    checked like ``lowest_eigenvalue``'s, with ``_full_product``, which
+    forms no matrix and shares only the ray samples with
+    ``_assemble_even``.  The boundary mass is the share of v's squared norm
+    on the nodes next to the boundary.
     """
     m = grid.n_interior
     e = _even_basis(m)
     # P w: node (i, j) takes e's weight of j times w at (i, e's column of j)
     v = (w.reshape(m, -1)[:, e.indices] * e.data).ravel()
-    residual = _residual(assemble(theta, grid), lam, v)
+    residual = _residual(_full_product(theta, grid, v), lam, v)
     g = v.reshape(m, m)
     ring = (
         np.sum(g[0, :] ** 2)
@@ -561,10 +597,10 @@ def solve(
     Every level is solved on the even subspace of the y -> -y reflection
     (about half a million unknowns on the finest grid), with its matrix
     built there by ``_assemble_even``.  ``_lifted`` lifts its eigenvector
-    back to the full grid, where ``assemble``'s matrix, built after the
-    level's V-cycle is freed, checks its residual, and takes its boundary
-    mass; solve() touches no full-grid vector or matrix itself, and builds
-    its result once, from the finest level.  The
+    back to the full grid, where ``_full_product`` checks its residual
+    without forming the full grid's matrix, and takes its boundary mass;
+    solve() touches no full-grid vector itself, and builds its result once,
+    from the finest level.  The
     coarse grid is solved by ``lowest_eigenvalue``, with one factorization
     per shift; each refined grid by LOBPCG from the last level's
     eigenvector, interpolated, preconditioned by a V-cycle that descends
